@@ -30,7 +30,6 @@ from .matrices import (
     adjoint,
     close,
     det,
-    det_assignment,
     double_pseudo,
     independent,
     is_closed_base,

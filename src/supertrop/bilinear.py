@@ -349,11 +349,10 @@ def isotropic_strip(
         a11, a22 = a22, a11
 
     if a22.is_zero:
-        # the pair is ordered, so the whole diagonal vanishes here
-        if alpha.is_zero:
-            result = StripResult("empty", swapped=swapped)
-        else:
-            result = StripResult("interval", lo=None, hi=None, swapped=swapped)
+        # The pair is ordered, so the whole diagonal vanishes here and
+        # Q(v1 + beta v2) = beta * alpha, which symmetry puts in the ghost
+        # ideal for every beta.
+        result = StripResult("interval", lo=None, hi=None, swapped=swapped)
     else:
         alpha_sq_dominates = not alpha.is_zero and (
             a11.is_zero or 2 * alpha.value > a11.value + a22.value

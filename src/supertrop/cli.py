@@ -23,7 +23,6 @@ from .matrices import (
     adjoint,
     close,
     det,
-    det_assignment,
     independent,
     matrix_from_json,
     matrix_to_json,
@@ -33,20 +32,19 @@ from .matrices import (
     rank,
 )
 from .oracle import SUITES, run_suite
-from .scalars import parse_scalar, parse_vector
+from .scalars import Vector, parse_scalar, parse_vector
 
-SCHEMA = "supertrop/1"
+SCHEMA = "supertrop/2"
 
 
 def _default_seed() -> int:
     return int(os.environ.get("SUPERTROP_SEED", "0"))
 
 
-def _load_matrix(args, attr: str = "matrix") -> Matrix:
-    inline = getattr(args, "inline", None)
+def _load_matrix(path: Optional[str], inline: Optional[str] = None) -> Matrix:
+    """An inline literal (';' separates rows), else a text or .json file."""
     if inline is not None:
         return parse_matrix(inline.replace(";", "\n"))
-    path = getattr(args, attr, None)
     if path is None:
         raise ParseError("a matrix file or --inline literal is required")
     with open(path, "r", encoding="utf-8") as fh:
@@ -56,12 +54,9 @@ def _load_matrix(args, attr: str = "matrix") -> Matrix:
     return parse_matrix(text)
 
 
-def _load_named_matrix(path: str) -> Matrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if path.endswith(".json"):
-        return matrix_from_json(text)
-    return parse_matrix(text)
+def _load_rows(path: str) -> List[Vector]:
+    """The rows of a matrix file, as vectors."""
+    return [Vector(r) for r in _load_matrix(path).entries]
 
 
 def _emit(args, text_value: str, json_obj: dict) -> None:
@@ -70,10 +65,6 @@ def _emit(args, text_value: str, json_obj: dict) -> None:
         print(json.dumps(json_obj, indent=2, sort_keys=True))
     else:
         print(text_value)
-
-
-def _matrix_payload(m: Matrix) -> dict:
-    return matrix_to_json(m)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--inline", help="inline matrix, ';' separates rows")
         return sp
 
-    spd = matcmd("det", "determinant (permanent)")
-    spd.add_argument("--engine", choices=("expand", "assign"), default="expand")
+    matcmd("det", "determinant (permanent)")
     matcmd("adj", "adjoint matrix")
     matcmd("pinv", "pseudo-inverse A^nabla")
     matcmd("quasiid", "quasi-identities I_A and I'_A")
@@ -165,14 +155,13 @@ def _quad_form(args, which: int = 0) -> qd.QuadraticForm:
     kind, value = specs[which]
     if kind == "diag":
         return qd.QuadraticForm.from_diagonal(tuple(parse_vector(value)))
-    return qd.QuadraticForm.from_form(bl.BilinearForm(_load_named_matrix(value)))
+    return qd.QuadraticForm.from_form(bl.BilinearForm(_load_matrix(value)))
 
 
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "det":
-        m = _load_matrix(args)
-        result = det(m) if args.engine == "expand" else det_assignment(m)
+        result = det(_load_matrix(args.matrix, args.inline))
         _emit(
             args,
             str(result.value),
@@ -183,17 +172,17 @@ def _dispatch(args) -> int:
         )
         return 0
     if cmd in ("adj", "pinv", "close", "dualgrid"):
-        m = _load_matrix(args)
+        m = _load_matrix(args.matrix, args.inline)
         out = {
             "adj": adjoint,
             "pinv": pseudo_inverse,
             "close": close,
             "dualgrid": lambda a: du.dual_eval_matrix(du.dual_base(a)),
         }[cmd](m)
-        _emit(args, str(out), _matrix_payload(out))
+        _emit(args, str(out), matrix_to_json(out))
         return 0
     if cmd == "quasiid":
-        i_a, i_a_prime = quasi_identities(_load_matrix(args))
+        i_a, i_a_prime = quasi_identities(_load_matrix(args.matrix, args.inline))
         _emit(
             args,
             f"{i_a}\n\n{i_a_prime}",
@@ -201,30 +190,29 @@ def _dispatch(args) -> int:
         )
         return 0
     if cmd == "rank":
-        r = rank(_load_matrix(args))
+        r = rank(_load_matrix(args.matrix, args.inline))
         _emit(args, str(r), {"rank": r})
         return 0
     if cmd == "indep":
-        ok = independent(_load_matrix(args).columns())
+        ok = independent(_load_matrix(args.matrix, args.inline).columns())
         _emit(args, "true" if ok else "false", {"independent": ok})
         return 0
     if cmd == "dualbase":
-        d = du.dual_base(_load_matrix(args))
+        d = du.dual_base(_load_matrix(args.matrix, args.inline))
         rows = Matrix.from_rows(tuple(f.row) for f in d.functionals)
-        _emit(args, str(rows), _matrix_payload(rows))
+        _emit(args, str(rows), matrix_to_json(rows))
         return 0
     if cmd == "gram":
-        form = bl.BilinearForm(_load_named_matrix(args.form))
-        vecs = [_load_named_matrix(args.vectors).row(i) for i in range(_load_named_matrix(args.vectors).rows)]
-        out = bl.gram_of(form, vecs)
-        _emit(args, str(out), _matrix_payload(out))
+        form = bl.BilinearForm(_load_matrix(args.form))
+        out = bl.gram_of(form, _load_rows(args.vectors))
+        _emit(args, str(out), matrix_to_json(out))
         return 0
     if cmd == "symmetric":
-        ok = bl.is_supertropically_symmetric(bl.BilinearForm(_load_named_matrix(args.form)))
+        ok = bl.is_supertropically_symmetric(bl.BilinearForm(_load_matrix(args.form)))
         _emit(args, "true" if ok else "false", {"symmetric": ok})
         return 0
     if cmd == "classify":
-        form = bl.BilinearForm(_load_named_matrix(args.form))
+        form = bl.BilinearForm(_load_matrix(args.form))
         c = bl.classify_vector(form, parse_vector(args.vec))
         text = ("g-isotropic" if c.isotropic else "g-nonisotropic") + (
             " normal" if c.normal else ""
@@ -234,18 +222,15 @@ def _dispatch(args) -> int:
     if cmd == "pair":
         if len(args.vec) != 2:
             raise ParseError("pair needs exactly two --vec arguments")
-        form = bl.BilinearForm(_load_named_matrix(args.form))
+        form = bl.BilinearForm(_load_matrix(args.form))
         pc = bl.pair_class(form, parse_vector(args.vec[0]), parse_vector(args.vec[1]))
         flags = pc.as_dict()
         text = "\n".join(f"{k}: {'true' if v else 'false'}" for k, v in flags.items())
         _emit(args, text, flags)
         return 0
     if cmd == "gs":
-        form = bl.BilinearForm(_load_named_matrix(args.form))
-        base = []
-        if args.base:
-            bm = _load_named_matrix(args.base)
-            base = [bm.row(i) for i in range(bm.rows)]
+        form = bl.BilinearForm(_load_matrix(args.form))
+        base = _load_rows(args.base) if args.base else []
         res = bl.gs_step(form, base, parse_vector(args.vec))
         text = (
             f"projected: {res.projected}\n"
@@ -263,7 +248,7 @@ def _dispatch(args) -> int:
         )
         return 0
     if cmd == "strip":
-        form = bl.BilinearForm(_load_named_matrix(args.form))
+        form = bl.BilinearForm(_load_matrix(args.form))
         if args.vec:
             if len(args.vec) != 2:
                 raise ParseError("strip needs zero or two --vec arguments")
@@ -276,12 +261,8 @@ def _dispatch(args) -> int:
         _emit(args, text, payload)
         return 0
     if cmd == "decompose":
-        form = bl.BilinearForm(_load_named_matrix(args.form))
-        if args.base:
-            bm = _load_named_matrix(args.base)
-            base = [bm.row(i) for i in range(bm.rows)]
-        else:
-            base = Matrix.identity(form.dim).columns()
+        form = bl.BilinearForm(_load_matrix(args.form))
+        base = _load_rows(args.base) if args.base else Matrix.identity(form.dim).columns()
         aniso, alternate = bl.decompose(form, base)
         text = "anisotropic:\n" + "\n".join(f"  {v}" for v in aniso)
         text += "\nalternate:\n" + "\n".join(f"  {v}" for v in alternate)
@@ -313,7 +294,7 @@ def _dispatch_quad(args) -> int:
     qcmd = args.qcommand
     if qcmd == "hyper":
         form = qd.hyperbolic_plane(parse_scalar(args.value))
-        _emit(args, str(form.gram), _matrix_payload(form.gram))
+        _emit(args, str(form.gram), matrix_to_json(form.gram))
         return 0
     if qcmd == "eval":
         q = _quad_form(args)
@@ -328,7 +309,7 @@ def _dispatch_quad(args) -> int:
         return 0
     if qcmd == "fromq":
         form = qd.form_from_q(_quad_form(args))
-        _emit(args, str(form.gram), _matrix_payload(form.gram))
+        _emit(args, str(form.gram), matrix_to_json(form.gram))
         return 0
     if qcmd == "osum":
         out = qd.orthogonal_sum(_quad_form(args, 0), _quad_form(args, 1))
@@ -336,7 +317,7 @@ def _dispatch_quad(args) -> int:
             text = " ".join(str(x) for x in out.diagonal)
             _emit(args, text, {"diagonal": [str(x) for x in out.diagonal]})
         else:
-            _emit(args, str(out.form.gram), _matrix_payload(out.form.gram))
+            _emit(args, str(out.form.gram), matrix_to_json(out.form.gram))
         return 0
     raise ParseError(f"unknown quad command {qcmd!r}")
 

@@ -147,9 +147,10 @@ class MapAxiomReport:
 
 
 def check_map_axioms(m: Matrix, trials: int = 100, seed: int = 0) -> MapAxiomReport:
-    """Sampled check that v |-> M v is a supertropical map: additivity up to
-    ghost-surpassing (with equality, since matrix maps are linear), tangible
-    homogeneity, and ghost homogeneity up to ghost-surpassing."""
+    """Sampled check that v |-> M v is a supertropical map: additivity and
+    tangible and ghost homogeneity.  The axioms ask additivity and ghost
+    homogeneity only up to ghost-surpassing; matrix maps are linear, so all
+    three are checked as equalities, which ghost-surpassing follows from."""
     for i in range(trials):
         rng = random.Random(f"map-axioms:{seed}:{i}")
 
@@ -169,13 +170,10 @@ def check_map_axioms(m: Matrix, trials: int = 100, seed: int = 0) -> MapAxiomRep
         alpha = Scalar.tangible(rng.randint(-10, 10))
         g = Scalar.ghost_of(rng.randint(-10, 10))
 
-        lhs = m.apply(v + w)
-        rhs = m.apply(v) + m.apply(w)
-        if lhs != rhs or not lhs.ghost_surpasses(rhs):
+        if m.apply(v + w) != m.apply(v) + m.apply(w):
             return MapAxiomReport(i + 1, False, f"additivity at v={v}, w={w}")
         if m.apply(v.scale(alpha)) != m.apply(v).scale(alpha):
             return MapAxiomReport(i + 1, False, f"tangible homogeneity at v={v}, a={alpha}")
-        gv = m.apply(v.scale(g))
-        if not gv.ghost_surpasses(m.apply(v).scale(g)) or gv != m.apply(v).scale(g):
+        if m.apply(v.scale(g)) != m.apply(v).scale(g):
             return MapAxiomReport(i + 1, False, f"ghost homogeneity at v={v}, a={g}")
     return MapAxiomReport(trials, True)

@@ -1,18 +1,16 @@
 """Supertropical matrix algebra.
 
-Determinants are permanents (no signs exist in the semiring).  Two engines
-are shipped: ``det`` expands over permutations and is the authority up to
-8x8; ``det_assignment`` solves a maximum-weight bipartite assignment by
-exact dynamic programming and detects ghostness by probing each edge of an
-optimal assignment for alternatives.  The two must agree exactly on every
-input, and the test suites cross-check them against a third expansion in
-:mod:`supertrop.oracle`.
+Determinants are permanents (no signs exist in the semiring).  ``det`` is
+the one engine: a maximum-weight assignment with an exact uniqueness test,
+O(n^3) and uncapped.  :func:`supertrop.oracle.brute_force_det` is its
+independent check, a full permutation expansion for n <= 8.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -20,7 +18,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .errors import CapacityError, DomainError, ParseError, ShapeError
 from .scalars import ONE, ZERO, Scalar, Vector, parse_scalar
 
-EXPANSION_CAP = 8
 RANK_CAP = 10
 
 
@@ -131,131 +128,136 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class DetResult:
-    """Determinant value plus the permutations attaining the maximal
-    nu-value; ghostness of the value is forced by a tie (>= 2 witnesses) or
-    a ghost factor on the unique witness."""
+    """Determinant value plus witness permutations (``perm[i]`` is the
+    column of row i).  ``witnesses`` is empty when the value is ``-inf``;
+    otherwise it holds one optimal permutation and, exactly when the optimum
+    is attained more than once, a second optimal one as tie certificate.
+    The value is ghost iff there is a tie or the unique optimum passes
+    through a ghost entry."""
 
     value: Scalar
     witnesses: frozenset
 
 
 def det(a: Matrix) -> DetResult:
-    """Permutation-expansion determinant (permanent), n <= 8."""
-    if not a.is_square:
-        raise ShapeError("determinant of a non-square matrix")
-    n = a.rows
-    if n > EXPANSION_CAP:
-        raise CapacityError(f"expansion engine capped at n = {EXPANSION_CAP}")
-    best: Optional[Fraction] = None
-    witnesses: List[Tuple[int, ...]] = []
-    best_ghost = False
-    rows = a.entries
-    for perm in itertools.permutations(range(n)):
-        total = Fraction(0)
-        ghost = False
-        ok = True
-        for i, j in enumerate(perm):
-            e = rows[i][j]
-            if e.value is None:
-                ok = False
-                break
-            total += e.value
-            ghost = ghost or e.ghost
-        if not ok:
-            continue
-        if best is None or total > best:
-            best = total
-            witnesses = [perm]
-            best_ghost = ghost
-        elif total == best:
-            witnesses.append(perm)
-    if best is None:
-        return DetResult(ZERO, frozenset())
-    ghosty = best_ghost or len(witnesses) > 1
-    return DetResult(Scalar(best, ghosty), frozenset(witnesses))
+    """The determinant (permanent) |A| in O(n^3).
 
-
-def _assignment_dp(
-    nu: Sequence[Sequence[Optional[Fraction]]],
-    forbid: Optional[Tuple[int, int]] = None,
-) -> List[Optional[Fraction]]:
-    """Max-weight assignment over rows 0..k-1 (row index = popcount of the
-    column mask); entry ``None`` means the edge is absent."""
-    n = len(nu)
-    full = 1 << n
-    best: List[Optional[Fraction]] = [None] * full
-    best[0] = Fraction(0)
-    for mask in range(full):
-        base = best[mask]
-        if base is None:
-            continue
-        i = bin(mask).count("1")
-        if i == n:
-            continue
-        row = nu[i]
-        for j in range(n):
-            if mask >> j & 1:
-                continue
-            w = row[j]
-            if w is None or forbid == (i, j):
-                continue
-            nm = mask | (1 << j)
-            cand = base + w
-            if best[nm] is None or cand > best[nm]:
-                best[nm] = cand
-    return best
-
-
-def _assignment_reconstruct(
-    nu: Sequence[Sequence[Optional[Fraction]]],
-    best: List[Optional[Fraction]],
-    forbid: Optional[Tuple[int, int]] = None,
-) -> Tuple[int, ...]:
-    n = len(nu)
-    mask = (1 << n) - 1
-    perm = [0] * n
-    for i in range(n - 1, -1, -1):
-        for j in range(n):
-            if not (mask >> j & 1):
-                continue
-            w = nu[i][j]
-            if w is None or forbid == (i, j):
-                continue
-            prev = best[mask ^ (1 << j)]
-            if prev is not None and prev + w == best[mask]:
-                perm[i] = j
-                mask ^= 1 << j
-                break
-        else:
-            raise AssertionError("assignment reconstruction failed")
-    return tuple(perm)
-
-
-def det_assignment(a: Matrix) -> DetResult:
-    """Determinant via maximum-weight bipartite assignment.
-
-    The optimum value equals the expansion determinant's nu-value; the value
-    is ghost when a ghost entry lies on the optimal assignment or when
-    forbidding any of its edges re-attains the optimum (a second witness).
+    The nu-values, scaled to integers by the LCM of their denominators, are
+    the weights of a maximum-weight assignment, found by shortest augmenting
+    paths with integer potentials u, v (Kuhn's Hungarian method); a ``-inf``
+    entry is an absent edge.  An optimal sigma uses only tight edges
+    (w_ij = u_i + v_j), and any other optimal permutation differs from sigma
+    by cycles of tight edges, so the optimum is unique iff the digraph
+    "row i -> the row sigma assigns column j", over tight (i, j) with
+    j != sigma(i), is acyclic (Butkovic, Max-linear Systems, 2010).
     """
     if not a.is_square:
         raise ShapeError("determinant of a non-square matrix")
-    n = a.rows
-    nu = [[e.value for e in row] for row in a.entries]
-    best = _assignment_dp(nu)
-    opt = best[(1 << n) - 1]
-    if opt is None:
+    rows = a.entries
+    scale = math.lcm(
+        *(e.value.denominator for r in rows for e in r if e.value is not None)
+    )
+
+    def weight(q: Optional[Fraction]) -> Optional[int]:
+        return None if q is None else q.numerator * (scale // q.denominator)
+
+    w = [[weight(e.value) for e in r] for r in rows]
+    found = _assignment(w)
+    if found is None:
         return DetResult(ZERO, frozenset())
-    perm = _assignment_reconstruct(nu, best)
-    ghost = any(a.entries[i][perm[i]].ghost for i in range(n))
-    witnesses = {perm}
+    sigma, u, v = found
+    tie = _tie(w, sigma, u, v)
+    ghost = tie is not None or any(rows[i][j].ghost for i, j in enumerate(sigma))
+    total = Fraction(sum(w[i][j] for i, j in enumerate(sigma)), scale)
+    witnesses = {sigma} if tie is None else {sigma, tie}
+    return DetResult(Scalar(total, ghost), frozenset(witnesses))
+
+
+def _assignment(
+    w: List[List[Optional[int]]],
+) -> Optional[Tuple[Tuple[int, ...], List[int], List[int]]]:
+    """Maximum-weight perfect assignment of the integer weights ``w``
+    (``None`` = no edge) as (sigma, u, v) with u_i + v_j >= w_ij on every
+    edge and equality on sigma, or None when no perfect assignment exists.
+
+    Rows join one at a time; each grows a Dijkstra tree over the reduced
+    costs u_i + v_j - w_ij >= 0 until it reaches a free column, then the
+    potentials move by the tree's distances and the path is flipped.
+    """
+    n = len(w)
+    inf = float("inf")
+    u = [0] * n
+    v = [0] * (n + 1)  # column n is the root of each search
+    owner = [-1] * (n + 1)  # row assigned to each column
     for i in range(n):
-        probe = _assignment_dp(nu, forbid=(i, perm[i]))
-        alt = probe[(1 << n) - 1]
-        if alt is not None and alt == opt:
-            ghost = True
-            witnesses.add(_assignment_reconstruct(nu, probe, forbid=(i, perm[i])))
-    return DetResult(Scalar(opt, ghost), frozenset(witnesses))
+        owner[n] = i
+        j0 = n
+        dist = [inf] * (n + 1)
+        prev = [n] * (n + 1)
+        used = [False] * (n + 1)
+        while owner[j0] != -1:
+            used[j0] = True
+            i0 = owner[j0]
+            row, ui = w[i0], u[i0]
+            delta, j1 = inf, -1
+            for j in range(n):
+                if used[j]:
+                    continue
+                if row[j] is not None:
+                    d = ui + v[j] - row[j]
+                    if d < dist[j]:
+                        dist[j], prev[j] = d, j0
+                if dist[j] < delta:
+                    delta, j1 = dist[j], j
+            if j1 < 0:
+                return None  # row i has no augmenting path: Hall's condition fails
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] -= delta
+                    v[j] += delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0 != n:
+            j1 = prev[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    sigma = [0] * n
+    for j in range(n):
+        sigma[owner[j]] = j
+    return tuple(sigma), u, v
+
+
+def _tie(
+    w: List[List[Optional[int]]], sigma: Tuple[int, ...], u: List[int], v: List[int]
+) -> Optional[Tuple[int, ...]]:
+    """A second optimal permutation, or None when sigma is the only one: a
+    cycle of tight edges off sigma, rotated into sigma."""
+    n = len(sigma)
+    owner = {j: i for i, j in enumerate(sigma)}
+    succ = [
+        {owner[j] for j in range(n) if j != sigma[i] and w[i][j] == u[i] + v[j]}
+        for i in range(n)
+    ]
+    # Peel off rows with no edge into the rest; every row left has one, so a
+    # walk among them closes a cycle.
+    alive = set(range(n))
+    while True:
+        dead = {i for i in alive if not succ[i] & alive}
+        if not dead:
+            break
+        alive -= dead
+    if not alive:
+        return None
+    walk, i = [], min(alive)
+    while i not in walk:
+        walk.append(i)
+        i = min(succ[i] & alive)
+    cycle = walk[walk.index(i):]
+    tau = list(sigma)
+    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+        tau[x] = sigma[y]
+    return tuple(tau)
 
 
 def _minor(a: Matrix, drop_row: int, drop_col: int) -> Matrix:

@@ -1,5 +1,10 @@
 """Independent brute-force engines, seeded samplers, and property suites.
 
+``brute_force_det`` is the determinant oracle (n <= 8): unlike ``det`` it
+lists every optimal permutation.  The ``det-engines`` suite holds ``det`` to
+it: equal values, witnesses a subset of the oracle's, and one (two)
+witnesses iff the oracle has at least one (two).
+
 Everything here is deterministic in (seed, index): replaying a suite with
 the same name, trial count, and seed reproduces the identical report.
 The suites mirror the library's core algebraic invariants and serve as the
@@ -24,7 +29,6 @@ from .matrices import (
     Matrix,
     close,
     det,
-    det_assignment,
     independent,
     mat_mul,
     quasi_identities,
@@ -217,17 +221,17 @@ def _suite_det_engines(trials: int, seed: int) -> List[Tuple[str, str, str]]:
     for i in range(trials):
         n = sizes[i % len(sizes)]
         m = sample("matrix", n, seed, i)
-        d1 = det(m)
-        d2 = det_assignment(m)
-        d3 = brute_force_det(m)
-        if not (d1.value == d2.value == d3.value):
-            failures.append(
-                (f"matrix=[{m}]".replace("\n", "; "), str(d1.value), f"{d2.value}/{d3.value}")
-            )
-        if d1.witnesses != d3.witnesses:
-            failures.append(
-                (f"matrix=[{m}] witnesses".replace("\n", "; "), str(sorted(d1.witnesses)), str(sorted(d3.witnesses)))
-            )
+        got, want = det(m), brute_force_det(m)
+        tag = f"matrix=[{m}]".replace("\n", "; ")
+        if got.value != want.value:
+            failures.append((tag, str(want.value), str(got.value)))
+        mine, all_optimal = sorted(got.witnesses), sorted(want.witnesses)
+        if not got.witnesses <= want.witnesses:
+            failures.append((f"{tag} witnesses", f"subset of {all_optimal}", str(mine)))
+        for k in (1, 2):
+            if (len(mine) >= k) != (len(all_optimal) >= k):
+                failures.append((f"{tag} witness count", str(len(all_optimal)), str(len(mine))))
+                break
     return failures
 
 

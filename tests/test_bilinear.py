@@ -249,8 +249,15 @@ def test_strip_all():
 
 
 def test_strip_empty():
-    form = BilinearForm(parse_matrix("-inf -inf\n-inf -inf"))
+    # Q(e1 + beta e2) = 2 beta is tangible for every tangible beta.
+    form = BilinearForm(parse_matrix("-inf -inf\n-inf 0"))
     assert isotropic_strip(form, E1, E2).kind == "empty"
+
+
+def test_strip_zero_plane_is_all():
+    # Q vanishes on the whole plane, and -inf lies in the ghost ideal.
+    form = BilinearForm(parse_matrix("-inf -inf\n-inf -inf"))
+    assert isotropic_strip(form, E1, E2).as_dict() == {"kind": "interval", "lo": "all", "hi": "all"}
 
 
 # -- decomposition ---------------------------------------------------------

@@ -29,13 +29,7 @@ def run(capsys, *argv):
 
 
 def test_det_expand(capsys, a_mat):
-    code, out, _ = run(capsys, "det", "--engine", "expand", a_mat)
-    assert code == 0
-    assert out.strip() == "3"
-
-
-def test_det_assign_agrees(capsys, a_mat):
-    code, out, _ = run(capsys, "det", "--engine", "assign", a_mat)
+    code, out, _ = run(capsys, "det", a_mat)
     assert code == 0
     assert out.strip() == "3"
 
@@ -50,7 +44,7 @@ def test_det_json_schema(capsys, a_mat):
     code, out, _ = run(capsys, "--format", "json", "det", a_mat)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "supertrop/1"
+    assert payload["schema"] == "supertrop/2"
     assert payload["value"] == "3"
     assert payload["witnesses"] == [[1, 0]]
 

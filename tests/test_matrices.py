@@ -1,5 +1,7 @@
 """Matrix algebra: determinants, pseudo-inverses, quasi-identities, rank."""
 
+from fractions import Fraction
+
 import pytest
 
 from supertrop import (
@@ -12,7 +14,6 @@ from supertrop import (
     adjoint,
     close,
     det,
-    det_assignment,
     independent,
     is_closed_base,
     is_nonsingular,
@@ -71,22 +72,39 @@ def test_det_transposition_witness():
     assert r.witnesses == frozenset({(1, 0)})
 
 
-def test_det_assignment_matches_expansion():
-    for text in ("0 1\n2 0", "1 2\n3 4", "-inf -inf\n-inf 0"):
-        m = parse_matrix(text)
-        assert det_assignment(m).value == det(m).value
+def test_det_frozen_values():
+    assert det(parse_matrix("1 2\n3 4")).value == G(5)
+    r = det(parse_matrix("-inf -inf\n-inf 0"))
+    assert r.value == ZERO
+    assert r.witnesses == frozenset()
+    r = det(parse_matrix("1/2 -inf\n-1/3 2/3g"))
+    assert r.value == G(Fraction(7, 6))
+    assert r.witnesses == frozenset({(0, 1)})
 
 
-def test_det_assignment_frozen_values():
-    assert det_assignment(A).value == T(3)
-    assert det_assignment(parse_matrix("1 2\n3 4")).value == G(5)
-    assert det_assignment(parse_matrix("-inf -inf\n-inf 0")).value == ZERO
+def test_det_identity_50():
+    r = det(Matrix.identity(50))
+    assert r.value == ONE
+    assert r.witnesses == frozenset({tuple(range(50))})
 
 
-def test_det_expansion_cap():
-    big = Matrix.identity(9)
-    with pytest.raises(CapacityError):
-        det(big)
+def test_det_planted_ghost_optimum():
+    # Row i scores i on column plant[i] and -20 elsewhere, so plant is the
+    # unique optimum; its one ghost entry makes the value ghost.
+    plant = (3, 7, 0, 9, 1, 5, 2, 8, 6, 4)
+    rows = [[T(i) if j == plant[i] else T(-20) for j in range(10)] for i in range(10)]
+    rows[4][plant[4]] = G(4)
+    r = det(Matrix.from_rows(rows))
+    assert r.value == G(45)
+    assert r.witnesses == frozenset({plant})
+
+
+def test_det_all_tie_reports_two_witnesses():
+    r = det(Matrix.from_rows([[ONE] * 12 for _ in range(12)]))
+    assert r.value == G(0)
+    assert len(r.witnesses) == 2
+    for perm in r.witnesses:  # every permutation is optimal here
+        assert sorted(perm) == list(range(12))
 
 
 # -- adjoint and pseudo-inverse -------------------------------------------
@@ -190,6 +208,10 @@ def test_rank_ghost_det_drops():
 
 def test_rank_of_closed_base():
     assert rank(parse_matrix("0g 1\n2 0g")) == 2
+
+
+def test_rank_identity_at_cap():
+    assert rank(Matrix.identity(10)) == 10
 
 
 def test_rank_cap():

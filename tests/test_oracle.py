@@ -12,7 +12,6 @@ from supertrop import (
     ZERO,
     brute_force_det,
     det,
-    det_assignment,
     independent,
     parse_matrix,
     run_suite,
@@ -34,12 +33,14 @@ def test_brute_force_det_frozen():
     assert brute_force_det(Matrix.identity(4)).value == ONE
 
 
-def test_three_engines_agree_sampled():
+def test_det_agrees_with_oracle_sampled():
     for i in range(30):
         m = sample("matrix", 2 + i % 4, seed=5, index=i)
-        d1, d2, d3 = det(m), det_assignment(m), brute_force_det(m)
-        assert d1.value == d2.value == d3.value
-        assert d1.witnesses == d3.witnesses
+        got, want = det(m), brute_force_det(m)
+        assert got.value == want.value
+        assert got.witnesses <= want.witnesses
+        for k in (1, 2):
+            assert (len(got.witnesses) >= k) == (len(want.witnesses) >= k)
 
 
 # -- dependence search -----------------------------------------------------
