@@ -17,7 +17,7 @@ from typing import List, Optional
 from . import bilinear as bl
 from . import dual as du
 from . import quadratic as qd
-from .errors import ParseError, SupertropError
+from .errors import ParseError, ShapeError, SupertropError
 from .matrices import (
     Matrix,
     adjoint,
@@ -42,11 +42,11 @@ def _default_seed() -> int:
 
 
 def _load_matrix(path: Optional[str], inline: Optional[str] = None) -> Matrix:
-    """An inline literal (';' separates rows), else a text or .json file."""
+    """An inline literal (';' separates rows) or a text or .json file."""
+    if (path is None) == (inline is None):
+        raise ParseError("give exactly one of a matrix file and an --inline literal")
     if inline is not None:
         return parse_matrix(inline.replace(";", "\n"))
-    if path is None:
-        raise ParseError("a matrix file or --inline literal is required")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".json"):
@@ -249,6 +249,8 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "strip":
         form = bl.BilinearForm(_load_matrix(args.form))
+        if form.dim < 2:
+            raise ShapeError("the strip needs a form of dimension at least 2")
         if args.vec:
             if len(args.vec) != 2:
                 raise ParseError("strip needs zero or two --vec arguments")
@@ -327,10 +329,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SupertropError as exc:

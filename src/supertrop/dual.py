@@ -21,7 +21,7 @@ from .matrices import (
     quasi_identities,
     rank,
 )
-from .scalars import Scalar, Vector
+from .scalars import NU_HI, NU_LO, Scalar, Vector, random_scalar
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,6 @@ COUNTEREXAMPLE = "counterexample"
 NO_COUNTEREXAMPLE = "no-counterexample"
 
 
-def _sample_tangible_vector(dim: int, seed: int, index: int) -> Vector:
-    rng = random.Random(f"ghost-monic:{seed}:{index}")
-    return Vector(tuple(Scalar.tangible(rng.randint(-10, 10)) for _ in range(dim)))
-
-
 def ghost_monic_verdict(m: Matrix, trials: int = 100, seed: int = 0) -> str:
     """Exact for nonsingular matrices (the ghost kernel of a nonsingular
     matrix contains no tangible vector); otherwise a seeded refutation
@@ -124,7 +119,8 @@ def ghost_monic_verdict(m: Matrix, trials: int = 100, seed: int = 0) -> str:
     if is_nonsingular(m):
         return PROVED
     for i in range(trials):
-        v = _sample_tangible_vector(m.cols, seed, i)
+        rng = random.Random(f"ghost-monic:{seed}:{i}")
+        v = Vector(tuple(random_scalar(rng, 0.0, 0.0) for _ in range(m.cols)))
         if v.is_tangible and m.apply(v).is_ghost:
             return COUNTEREXAMPLE
     return NO_COUNTEREXAMPLE
@@ -153,22 +149,10 @@ def check_map_axioms(m: Matrix, trials: int = 100, seed: int = 0) -> MapAxiomRep
     three are checked as equalities, which ghost-surpassing follows from."""
     for i in range(trials):
         rng = random.Random(f"map-axioms:{seed}:{i}")
-
-        def rand_vector() -> Vector:
-            out = []
-            for _ in range(m.cols):
-                r = rng.random()
-                if r < 0.15:
-                    out.append(Scalar(None, False))
-                elif r < 0.4:
-                    out.append(Scalar.ghost_of(rng.randint(-10, 10)))
-                else:
-                    out.append(Scalar.tangible(rng.randint(-10, 10)))
-            return Vector(tuple(out))
-
-        v, w = rand_vector(), rand_vector()
-        alpha = Scalar.tangible(rng.randint(-10, 10))
-        g = Scalar.ghost_of(rng.randint(-10, 10))
+        v, w = (Vector(tuple(random_scalar(rng, 0.25, 0.15) for _ in range(m.cols)))
+                for _ in range(2))
+        alpha = Scalar.tangible(rng.randint(NU_LO, NU_HI))
+        g = Scalar.ghost_of(rng.randint(NU_LO, NU_HI))
 
         if m.apply(v + w) != m.apply(v) + m.apply(w):
             return MapAxiomReport(i + 1, False, f"additivity at v={v}, w={w}")

@@ -371,19 +371,18 @@ def independent(vectors: Sequence[Vector]) -> bool:
 # -- text and JSON I/O -----------------------------------------------------
 
 
-def parse_matrix(text: str) -> Matrix:
-    """One row per line, whitespace-separated scalar tokens, '#' comments."""
-    rows = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rows.append(tuple(parse_scalar(t) for t in line.split()))
-    if not rows:
+def _matrix_of_tokens(rows: Sequence[Sequence[str]]) -> Matrix:
+    if not rows or not rows[0]:
         raise ParseError("empty matrix")
     if any(len(r) != len(rows[0]) for r in rows):
         raise ParseError("ragged matrix rows")
-    return Matrix(tuple(rows))
+    return Matrix(tuple(tuple(parse_scalar(t) for t in r) for r in rows))
+
+
+def parse_matrix(text: str) -> Matrix:
+    """One row per line, whitespace-separated scalar tokens, '#' comments."""
+    lines = (line.split("#", 1)[0].split() for line in text.splitlines())
+    return _matrix_of_tokens([tokens for tokens in lines if tokens])
 
 
 def matrix_to_json(a: Matrix) -> dict:
@@ -391,12 +390,18 @@ def matrix_to_json(a: Matrix) -> dict:
 
 
 def matrix_from_json(obj) -> Matrix:
+    """``{"rows": [[token, ...], ...]}``, as text or already decoded; every
+    token a scalar string."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
-    try:
-        rows = obj["rows"]
-    except (TypeError, KeyError) as exc:
-        raise ParseError("matrix JSON must be an object with a 'rows' array") from exc
-    if not rows:
-        raise ParseError("empty matrix")
-    return Matrix(tuple(tuple(parse_scalar(t) for t in r) for r in rows))
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed matrix JSON: {exc}") from exc
+    rows = obj.get("rows") if isinstance(obj, dict) else None
+    if not isinstance(rows, list) or not all(
+        isinstance(r, list) and all(isinstance(t, str) for t in r) for r in rows
+    ):
+        raise ParseError(
+            "matrix JSON must be an object whose 'rows' is an array of arrays of scalar strings"
+        )
+    return _matrix_of_tokens(rows)

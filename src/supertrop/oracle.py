@@ -1,22 +1,24 @@
-"""Independent brute-force engines, seeded samplers, and property suites.
+"""The one place that samples and checks: the determinant oracle, the
+seeded sampler, and the property suites (the acceptance battery).
 
-``brute_force_det`` is the determinant oracle (n <= 8): unlike ``det`` it
-lists every optimal permutation.  The ``det-engines`` suite holds ``det`` to
-it: equal values, witnesses a subset of the oracle's, and one (two)
-witnesses iff the oracle has at least one (two).
+``brute_force_det`` (n <= 8) lists every optimal permutation, where ``det``
+reports sigma and one tie certificate.  The ``det-engines`` suite holds
+``det`` to it: equal values, witnesses a subset of the oracle's, and one
+(two) witnesses iff the oracle has at least one (two).  The ``degen`` suite
+re-checks every strip and the ``decompose`` suite samples every alternate
+span, so library calls run no self-checks.
 
 Everything here is deterministic in (seed, index): replaying a suite with
 the same name, trial count, and seed reproduces the identical report.
-The suites mirror the library's core algebraic invariants and serve as the
-acceptance battery.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -35,37 +37,48 @@ from .matrices import (
     is_quasi_identity,
     rank,
 )
-from .scalars import ONE, ZERO, Scalar, Vector, lin_comb
+from .scalars import NU_HI, ONE, ZERO, Scalar, Vector, lin_comb, random_scalar
 
-NU_LO = -10
-NU_HI = 10
+BRUTE_FORCE_CAP = 8
+DEPENDENCE_CAP = 2 ** 16
 
 
 # -- independent determinant oracle ---------------------------------------
 
 
 def brute_force_det(a: Matrix) -> DetResult:
-    """Permanent by folding the full permutation sum through scalar
-    arithmetic; witnesses are the nonzero products nu-matching the total."""
+    """Permanent by one pass over every permutation (n <= 8) on the
+    nu-values scaled to integers by the LCM of their denominators, keeping
+    every permutation of maximal sum: those are the witnesses.  Only their
+    products are folded through scalar ``*`` and ``+`` (lower terms are
+    absorbed by the maximum), so the tie and ghost rules are the semiring's."""
     if not a.is_square:
         raise DomainError("determinant of a non-square matrix")
     n = a.rows
-    if n > 8:
-        raise CapacityError("brute-force expansion capped at n = 8")
-    products = []
-    total = ZERO
+    if n > BRUTE_FORCE_CAP:
+        raise CapacityError(f"brute-force expansion capped at n = {BRUTE_FORCE_CAP}")
+    scale = math.lcm(*(e.value.denominator for r in a.entries for e in r if not e.is_zero))
+    weight = [[None if e.is_zero else int(e.value * scale) for e in r] for r in a.entries]
+    best, optimal = None, []
     for perm in itertools.permutations(range(n)):
+        total = 0
+        for i, j in enumerate(perm):
+            w = weight[i][j]
+            if w is None:
+                break  # a -inf entry: the product is zero
+            total += w
+        else:
+            if best is None or total > best:
+                best, optimal = total, [perm]
+            elif total == best:
+                optimal.append(perm)
+    value = ZERO
+    for perm in optimal:
         p = ONE
         for i, j in enumerate(perm):
             p = p * a.entries[i][j]
-        products.append((perm, p))
-        total = total + p
-    if total.is_zero:
-        return DetResult(ZERO, frozenset())
-    witnesses = frozenset(
-        perm for perm, p in products if not p.is_zero and p.nu_match(total)
-    )
-    return DetResult(total, witnesses)
+        value = value + p
+    return DetResult(value, frozenset(optimal))
 
 
 def dependence_search(
@@ -73,9 +86,14 @@ def dependence_search(
 ) -> Optional[Tuple[Scalar, ...]]:
     """Search tangible coefficient tuples (nu-values from the grid, plus
     zero for sparsity) for a ghost-vector combination.  A returned witness
-    proves tropical dependence; None proves nothing."""
+    proves tropical dependence; None proves nothing.  The search covers
+    (len(grid) + 1) ** len(vectors) tuples, at most ``DEPENDENCE_CAP``."""
     if not grid:
         raise DomainError("empty coefficient grid")
+    if (len(grid) + 1) ** len(vectors) > DEPENDENCE_CAP:
+        raise CapacityError(
+            f"dependence search capped at {DEPENDENCE_CAP} coefficient tuples"
+        )
     choices = [ZERO] + [Scalar.tangible(g) for g in grid]
     for coeffs in itertools.product(choices, repeat=len(vectors)):
         if all(c.is_zero for c in coeffs):
@@ -92,16 +110,6 @@ def _rng(seed: int, index: int, salt: str = "") -> random.Random:
     return random.Random(f"supertrop:{salt}:{seed}:{index}")
 
 
-def _rand_scalar(rng: random.Random, ghost_density: float, zero_density: float) -> Scalar:
-    r = rng.random()
-    if r < zero_density:
-        return ZERO
-    q = rng.randint(NU_LO, NU_HI)
-    if r < zero_density + ghost_density:
-        return Scalar.ghost_of(q)
-    return Scalar.tangible(q)
-
-
 def sample(
     kind: str,
     shape,
@@ -113,46 +121,33 @@ def sample(
     """Deterministic sampler.  kinds: scalar, tangible-scalar, vector,
     matrix, nonsingular-matrix, symmetric-gram, closed-base."""
     rng = _rng(seed, index, kind)
+
+    def draw(ghost: float = ghost_density) -> Scalar:
+        return random_scalar(rng, ghost, zero_density)
+
     if kind == "scalar":
-        return _rand_scalar(rng, ghost_density, zero_density)
+        return draw()
     if kind == "tangible-scalar":
-        return Scalar.tangible(rng.randint(NU_LO, NU_HI))
+        return random_scalar(rng, 0.0, 0.0)
     if kind == "vector":
-        return Vector(
-            tuple(_rand_scalar(rng, ghost_density, zero_density) for _ in range(shape))
-        )
+        return Vector(tuple(draw() for _ in range(shape)))
     if kind == "matrix":
         rows, cols = shape if isinstance(shape, tuple) else (shape, shape)
-        return Matrix(
-            tuple(
-                tuple(_rand_scalar(rng, ghost_density, zero_density) for _ in range(cols))
-                for _ in range(rows)
-            )
-        )
+        return Matrix.from_rows((draw() for _ in range(cols)) for _ in range(rows))
     if kind == "nonsingular-matrix":
-        n = shape
         for _ in range(200):
-            m = Matrix(
-                tuple(
-                    tuple(_rand_scalar(rng, 0.0, zero_density) for _ in range(n))
-                    for _ in range(n)
-                )
-            )
+            m = Matrix.from_rows((draw(0.0) for _ in range(shape)) for _ in range(shape))
             if det(m).value.is_tangible:
                 return m
         raise DomainError("nonsingular sampler exhausted its retry budget")
     if kind == "closed-base":
         return close(sample("nonsingular-matrix", shape, seed, index + 10_000))
     if kind == "symmetric-gram":
-        n = shape
-        grid = [[None] * n for _ in range(n)]
-        for i in range(n):
-            grid[i][i] = _rand_scalar(rng, ghost_density, zero_density)
-            for j in range(i + 1, n):
-                e = _rand_scalar(rng, ghost_density, zero_density)
-                grid[i][j] = e
-                grid[j][i] = e
-        return Matrix(tuple(tuple(r) for r in grid))
+        grid = [[None] * shape for _ in range(shape)]
+        for i in range(shape):
+            for j in range(i, shape):
+                grid[i][j] = grid[j][i] = draw()
+        return Matrix.from_rows(grid)
     raise DomainError(f"unknown sample kind: {kind!r}")
 
 
@@ -360,8 +355,8 @@ def _suite_cs1(trials: int, seed: int) -> List[Tuple[str, str, str]]:
         n = sizes[i % len(sizes)]
         form = bl.BilinearForm(_cs_base_gram(rng, n))
         base = [Matrix.identity(n).col(j) for j in range(n)]
-        coeffs_v = [Scalar.tangible(rng.randint(NU_LO, NU_HI)) for _ in range(n)]
-        coeffs_w = [Scalar.tangible(rng.randint(NU_LO, NU_HI)) for _ in range(n)]
+        coeffs_v = [random_scalar(rng, 0.0, 0.0) for _ in range(n)]
+        coeffs_w = [random_scalar(rng, 0.0, 0.0) for _ in range(n)]
         v = lin_comb(coeffs_v, base)
         w = lin_comb(coeffs_w, base)
         pc = bl.pair_class(form, v, w)
@@ -383,16 +378,54 @@ def _nondegenerate_2x2(seed: int, index: int) -> bl.BilinearForm:
     raise DomainError("nondegenerate 2x2 sampler exhausted its retry budget")
 
 
+def _strip_problem(
+    form: bl.BilinearForm, v1: Vector, v2: Vector, strip: bl.StripResult
+) -> Optional[str]:
+    """Re-check a strip on the pair in the order ``isotropic_strip`` used:
+    v1 + beta*v2 must be g-isotropic at the ends and middle of an interval
+    (or at -1, 0, 1 when unbounded both ways) and at a point."""
+    if strip.swapped:
+        v1, v2 = v2, v1
+    if strip.kind == "empty":
+        return None
+    if strip.kind == "point":
+        betas = [strip.at]
+    elif strip.lo is None and strip.hi is None:
+        betas = [Fraction(-1), Fraction(0), Fraction(1)]
+    else:
+        lo = strip.lo if strip.lo is not None else strip.hi - 2
+        hi = strip.hi if strip.hi is not None else strip.lo + 2
+        betas = [lo, hi, (lo + hi) / 2]
+    for beta in betas:
+        w = v1 + v2.scale(Scalar.tangible(beta))
+        if not bl.evaluate(form, w, w).in_ghost_ideal:
+            return f"v1 + {beta}*v2 g-isotropic"
+    return None
+
+
 def _suite_degen(trials: int, seed: int) -> List[Tuple[str, str, str]]:
     failures = []
     for i in range(trials):
         form = _nondegenerate_2x2(seed, i)
         e1, e2 = Matrix.identity(2).columns()
-        strip = bl.isotropic_strip(form, e1, e2)  # re-verifies its witnesses
+        strip = bl.isotropic_strip(form, e1, e2)
+        tag = f"gram=[{form.gram}]".replace("\n", "; ")
         if strip.kind == "empty":
-            tag = f"gram=[{form.gram}]".replace("\n", "; ")
             failures.append((tag, "nonempty strip", "empty"))
+        problem = _strip_problem(form, e1, e2, strip)
+        if problem:
+            failures.append((tag, problem, "violated"))
     return failures
+
+
+def _span_isotropic(form: bl.BilinearForm, vectors: Sequence[Vector]) -> bool:
+    """Sample 20 tangible combinations of the vectors for g-isotropy."""
+    rng = random.Random("alternate-spot-check")
+    for _ in range(20):
+        coeffs = [Scalar.tangible(rng.randint(-5, 5)) for _ in vectors]
+        if not bl.classify_vector(form, lin_comb(coeffs, list(vectors))).isotropic:
+            return False
+    return True
 
 
 def _decompose_postconditions(
@@ -414,6 +447,8 @@ def _decompose_postconditions(
     for x in alternate:
         if not bl.classify_vector(form, x).isotropic:
             problems.append("alternate g-isotropic")
+    if alternate and not _span_isotropic(form, alternate):
+        problems.append("alternate span g-isotropic")
     for x in alternate:
         for y in aniso:
             if not (
@@ -450,12 +485,7 @@ def _suite_quadlin(trials: int, seed: int) -> List[Tuple[str, str, str]]:
     for i in range(trials):
         rng = _rng(seed, i, "quadlin")
         n = sizes[i % len(sizes)]
-        diag = tuple(
-            Scalar.ghost_of(rng.randint(NU_LO, NU_HI))
-            if rng.random() < 0.25
-            else Scalar.tangible(rng.randint(NU_LO, NU_HI))
-            for _ in range(n)
-        )
+        diag = tuple(random_scalar(rng, 0.25, 0.0) for _ in range(n))
         q = qd.QuadraticForm.from_diagonal(diag)
         form = qd.form_from_q(q)
         tag = f"diag={' '.join(map(str, diag))}"
@@ -464,21 +494,20 @@ def _suite_quadlin(trials: int, seed: int) -> List[Tuple[str, str, str]]:
         for k in range(20):
             v = sample("vector", n, seed, 31 * i + k, ghost_density=0.1)
             w = sample("vector", n, seed, 31 * i + k + 1_000_000, ghost_density=0.1)
-            lhs = bl.evaluate(form, v, w).power(2) if not bl.evaluate(form, v, w).is_zero else ZERO
+            b = bl.evaluate(form, v, w)
+            lhs = b.power(2) if not b.is_zero else ZERO
             rhs = qd.q_eval(q, v) * qd.q_eval(q, w)
             if lhs != rhs:
                 failures.append((f"{tag} v={v} w={w}", str(rhs), str(lhs)))
-            prod = qd.q_eval(q, v) * qd.q_eval(q, w)
-            sq = lhs
-            if prod.nu_cmp(sq) < 0:
+            if rhs.nu_cmp(lhs) < 0:
                 failures.append((f"{tag} v={v} w={w}", "weak Cauchy-Schwartz", "violated"))
-        a = Scalar.tangible(rng.randint(NU_LO, NU_HI))
+        a = random_scalar(rng, 0.0, 0.0)
         hyper = qd.hyperbolic_plane(a)
         e1, e2 = Matrix.identity(2).columns()
         if not qd.is_hyperbolic_plane(hyper, e1, e2):
             failures.append((f"hyperbolic a={a}", "is_hyperbolic_plane", "false"))
         q2 = qd.QuadraticForm.from_diagonal(
-            tuple(Scalar.tangible(rng.randint(NU_LO, NU_HI)) for _ in range(2))
+            tuple(random_scalar(rng, 0.0, 0.0) for _ in range(2))
         )
         qs = qd.orthogonal_sum(q, q2)
         v1 = sample("vector", n, seed, 77 * i, ghost_density=0.1)

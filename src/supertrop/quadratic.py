@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 from .bilinear import BilinearForm, evaluate, is_supertropically_symmetric
 from .errors import DomainError, PreconditionError, ShapeError
 from .matrices import Matrix, independent
-from .scalars import ZERO, Scalar, Vector
+from .scalars import ZERO, Scalar, Vector, random_scalar
 
 STRICT = "strict"
 QUASILINEAR = "quasilinear"
@@ -79,8 +79,8 @@ def quasilinearity_check(
     verdict = STRICT
     for i in range(trials):
         rng = random.Random(f"quasilinear:{seed}:{i}")
-        v = _rand_vector(rng, q.dim)
-        w = _rand_vector(rng, q.dim)
+        v, w = (Vector(tuple(random_scalar(rng, 0.2, 0.15) for _ in range(q.dim)))
+                for _ in range(2))
         lhs = q_eval(q, v + w)
         rhs = q_eval(q, v) + q_eval(q, w)
         if lhs == rhs:
@@ -90,19 +90,6 @@ def quasilinearity_check(
         else:
             return NEITHER
     return verdict
-
-
-def _rand_vector(rng: random.Random, dim: int) -> Vector:
-    out = []
-    for _ in range(dim):
-        r = rng.random()
-        if r < 0.15:
-            out.append(ZERO)
-        elif r < 0.35:
-            out.append(Scalar.ghost_of(rng.randint(-10, 10)))
-        else:
-            out.append(Scalar.tangible(rng.randint(-10, 10)))
-    return Vector(tuple(out))
 
 
 def form_from_q(q: QuadraticForm) -> BilinearForm:

@@ -7,11 +7,16 @@ layer absorbing.  All values are immutable and exact (``fractions.Fraction``
 underneath), so every comparison in this library is structural equality.
 
 Text grammar: ``-inf`` | RATIONAL | RATIONAL``g`` where RATIONAL is an
-optionally signed integer or ``p/q``.  ``parse_scalar(str(x)) == x`` always.
+optionally signed integer or ``p/q`` with ``q > 0``.
+``parse_scalar(str(x)) == x`` always.
+
+``random_scalar`` is the one scalar sampler: the suites' ``sample`` and
+the sampled checks in ``dual`` and ``quadratic`` all draw through it.
 """
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +25,9 @@ from typing import Optional, Sequence
 from .errors import DomainError, ParseError, ShapeError
 
 Rational = Fraction
+
+NU_LO = -10
+NU_HI = 10
 
 
 @dataclass(frozen=True)
@@ -176,7 +184,24 @@ def parse_scalar(text: str) -> Scalar:
     m = _SCALAR_RE.match(text)
     if not m:
         raise ParseError(f"bad scalar token: {text!r}")
-    return Scalar(Fraction(m.group(1)), m.group(2) == "g")
+    try:
+        return Scalar(Fraction(m.group(1)), m.group(2) == "g")
+    except ZeroDivisionError as exc:
+        raise ParseError(f"zero denominator in scalar token: {text!r}") from exc
+
+
+def random_scalar(
+    rng: random.Random, ghost_density: float, zero_density: float
+) -> Scalar:
+    """Zero with probability ``zero_density``, a ghost with probability
+    ``ghost_density``, else tangible; the nu-value is an integer in
+    [NU_LO, NU_HI].  The layer is drawn (one ``rng.random()``) only when a
+    density is positive, so (0, 0) gives tangible scalars from one
+    ``rng.randint`` each."""
+    r = rng.random() if ghost_density > 0 or zero_density > 0 else 1.0
+    if r < zero_density:
+        return ZERO
+    return Scalar(Fraction(rng.randint(NU_LO, NU_HI)), r < zero_density + ghost_density)
 
 
 # -- vectors ---------------------------------------------------------------

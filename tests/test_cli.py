@@ -1,9 +1,13 @@
 """Command-line interface: outputs, exit codes, and format round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import supertrop
 from supertrop import parse_matrix
 from supertrop.cli import main
 
@@ -198,6 +202,44 @@ def test_parse_error_exit_2(capsys):
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "det", "/no/such/file.mat")
     assert code == 2
+
+
+def test_file_and_inline_exit_2(capsys, a_mat):
+    code, out, err = run(capsys, "det", a_mat, "--inline", "5")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+# Malformed inputs that once ended in a Python traceback.
+BAD_INPUTS = [
+    ("zero-denominator", ["det", "--inline=1/0 1; 2 3"], None, None),
+    ("ragged-json", ["det", "{file}"], "ragged.json", b'{"rows": [["1", "2"], ["3"]]}'),
+    ("numeric-json", ["det", "{file}"], "numeric.json", b'{"rows": [[1, 2], [3, 4]]}'),
+    ("malformed-json", ["det", "{file}"], "malformed.json", b'{"rows": [["1", '),
+    ("directory", ["det", "{dir}"], None, None),
+    ("not-utf8", ["det", "{file}"], "latin1.mat", b"1 2\n3 \xff\n"),
+    ("strip-1d", ["strip", "{file}"], "1d.mat", b"3\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name, data", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
+)
+def test_bad_input_exits_cleanly(tmp_path, argv, name, data):
+    path = tmp_path / (name or "unused")
+    if data is not None:
+        path.write_bytes(data)
+    argv = [a.format(file=path, dir=tmp_path) for a in argv]
+    src = os.path.dirname(os.path.dirname(supertrop.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "supertrop.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode in (1, 2)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
 
 
 def test_output_round_trip_matrices(capsys, a_mat):

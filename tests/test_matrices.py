@@ -9,6 +9,7 @@ from supertrop import (
     DomainError,
     Matrix,
     ONE,
+    ParseError,
     Scalar,
     ZERO,
     adjoint,
@@ -251,6 +252,23 @@ def test_parse_matrix_comments_and_blanks():
 def test_matrix_json_round_trip():
     m = parse_matrix("0g 1\n2 -inf")
     assert matrix_from_json(matrix_to_json(m)) == m
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"rows": [["1", ',
+        '{"rows": [[1, 2], [3, 4]]}',
+        '{"rows": [["1", "2"], ["3"]]}',
+        '{"rows": [[]]}',
+        '{"rows": ["1 2"]}',
+        '{"cols": [["1"]]}',
+        '[["1"]]',
+    ],
+)
+def test_matrix_from_json_rejects_malformed(text):
+    with pytest.raises(ParseError):
+        matrix_from_json(text)
 
 
 def test_matrix_text_round_trip():

@@ -1,10 +1,15 @@
 """Brute-force engines, samplers, and suite report determinism."""
 
+import dataclasses
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from supertrop import (
+    BilinearForm,
+    CapacityError,
     DomainError,
     Matrix,
     ONE,
@@ -13,12 +18,20 @@ from supertrop import (
     brute_force_det,
     det,
     independent,
+    isotropic_strip,
     parse_matrix,
     run_suite,
     sample,
     vector,
 )
-from supertrop.oracle import SUITES, dependence_search
+from supertrop.matrices import DetResult
+from supertrop.oracle import (
+    DEPENDENCE_CAP,
+    SUITES,
+    _span_isotropic,
+    _strip_problem,
+    dependence_search,
+)
 
 T = Scalar.tangible
 G = Scalar.ghost_of
@@ -31,6 +44,55 @@ def test_brute_force_det_frozen():
     assert brute_force_det(parse_matrix("0 1\n2 0")).value == T(3)
     assert brute_force_det(parse_matrix("1 2\n3 4")).value == G(5)
     assert brute_force_det(Matrix.identity(4)).value == ONE
+
+
+def test_brute_force_det_all_zero_keeps_every_witness():
+    d = brute_force_det(parse_matrix("\n".join(["0 0 0 0"] * 4)))
+    assert d.value == G(0)
+    assert d.witnesses == frozenset(itertools.permutations(range(4)))
+
+
+def test_brute_force_det_zero_row():
+    d = brute_force_det(parse_matrix("-inf -inf\n1 2"))
+    assert d == DetResult(ZERO, frozenset())
+
+
+def test_brute_force_det_fractional_tie():
+    d = brute_force_det(parse_matrix("1/2 1/3\n1/6 0"))
+    assert d.value == G(Fraction(1, 2))
+    assert d.witnesses == {(0, 1), (1, 0)}
+
+
+def test_brute_force_det_cap():
+    with pytest.raises(CapacityError):
+        brute_force_det(Matrix.identity(9))
+
+
+def _fold_every_product(a):
+    """The expansion the oracle replaced: fold all n! products, then keep
+    the nonzero ones nu-matching the total."""
+    products = []
+    total = ZERO
+    for perm in itertools.permutations(range(a.rows)):
+        p = ONE
+        for i, j in enumerate(perm):
+            p = p * a.entries[i][j]
+        products.append((perm, p))
+        total = total + p
+    witnesses = (perm for perm, p in products if not p.is_zero and p.nu_match(total))
+    return DetResult(total, frozenset(witnesses))
+
+
+def test_brute_force_det_matches_full_fold_sampled():
+    for i in range(500):
+        m = sample("matrix", 1 + i % 5, seed=11, index=i, ghost_density=0.3, zero_density=0.2)
+        if i % 2:
+            rng = random.Random(i)
+            m = Matrix.from_rows(
+                [e if e.is_zero else Scalar(e.value / rng.randint(1, 6), e.ghost) for e in r]
+                for r in m.entries
+            )
+        assert brute_force_det(m) == _fold_every_product(m)
 
 
 def test_det_agrees_with_oracle_sampled():
@@ -67,6 +129,44 @@ def test_dependence_search_witness_implies_dependent():
 def test_dependence_search_empty_grid():
     with pytest.raises(DomainError):
         dependence_search([vector(0, 0)], [])
+
+
+def test_dependence_search_cap():
+    # (15 + 1) ** 4 tuples is exactly the cap; one more grid value is over.
+    assert DEPENDENCE_CAP == 16 ** 4
+    vs = [vector(0, 0)] * 4
+    assert dependence_search(vs, [Fraction(k) for k in range(15)]) is not None
+    with pytest.raises(CapacityError):
+        dependence_search(vs, [Fraction(k) for k in range(16)])
+
+
+# -- checks the suites run on library results ----------------------------
+
+
+E1, E2 = Matrix.identity(2).columns()
+
+
+def test_strip_recheck_accepts_strips_and_catches_a_wrong_one():
+    form = BilinearForm(parse_matrix("0 2\n2 0"))
+    strip = isotropic_strip(form, E1, E2)
+    assert _strip_problem(form, E1, E2, strip) is None
+    wrong = dataclasses.replace(strip, kind="point", at=Fraction(5))
+    assert _strip_problem(form, E1, E2, wrong) is not None
+
+
+def test_strip_recheck_uses_the_swapped_order():
+    # Q(e1) = 2 > Q(e2) = 0, so the strip is solved for e2 + beta*e1.
+    form = BilinearForm(parse_matrix("2 -inf\n-inf 0"))
+    strip = isotropic_strip(form, E1, E2)
+    assert strip.swapped and strip.at == Fraction(-1)
+    assert _strip_problem(form, E1, E2, strip) is None
+    unswapped = dataclasses.replace(strip, swapped=False)
+    assert _strip_problem(form, E1, E2, unswapped) is not None
+
+
+def test_span_check():
+    assert _span_isotropic(BilinearForm(parse_matrix("-inf 0\n0 -inf")), [E1, E2])
+    assert not _span_isotropic(BilinearForm(Matrix.identity(2)), [E1, E2])
 
 
 # -- samplers --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Scalar and vector arithmetic: frozen values and algebraic laws."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from supertrop import (
     parse_vector,
     vector,
 )
+from supertrop.scalars import NU_HI, NU_LO, random_scalar
 
 T = Scalar.tangible
 G = Scalar.ghost_of
@@ -140,9 +142,27 @@ def test_str_and_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x", "3gg", "1.5", "inf"):
+    for bad in ("", "x", "3gg", "1.5", "inf", "1/0", "2/0g"):
         with pytest.raises(ParseError):
             parse_scalar(bad)
+
+
+# -- sampler ---------------------------------------------------------------
+
+
+def test_random_scalar_tangible_draws_one_randint():
+    rng, twin = random.Random("s"), random.Random("s")
+    for _ in range(20):
+        assert random_scalar(rng, 0.0, 0.0) == T(twin.randint(NU_LO, NU_HI))
+
+
+def test_random_scalar_layers():
+    rng = random.Random("layers")
+    draws = [random_scalar(rng, 0.3, 0.2) for _ in range(300)]
+    assert {x.is_zero for x in draws} == {True, False}
+    assert {x.is_ghost for x in draws} == {True, False}
+    assert all(x.is_zero or NU_LO <= x.value <= NU_HI for x in draws)
+    assert all(random_scalar(rng, 0.0, 1.0) == ZERO for _ in range(20))
 
 
 # -- vectors ---------------------------------------------------------------
