@@ -68,7 +68,6 @@ from .dual import (
     Functional,
     apply,
     check_map_axioms,
-    double_dual_eval,
     dual_base,
     dual_eval_matrix,
     dual_rank,

@@ -1,10 +1,12 @@
 """Strict bilinear forms given by Gram matrices.
 
-Evaluation always uses the full strict expansion B(v, w) = sum v_i g_ij w_j.
-On top of it sit the pair classifications (orthogonality, compatibility,
-Cauchy-Schwartz, corner singularity), the Gram-determinant dependence test,
-the orthogonalization step and its iterated procedure, the rank-2
-g-isotropic strip, and the anisotropic/alternate decomposition.
+Evaluation is B(v, w) = v . (G w), one ``scalars.dot`` after one
+matrix-vector product; the semiring is distributive, so the value is that
+of the strict expansion sum v_i g_ij w_j.  On top of it sit the pair
+classifications (orthogonality, compatibility, Cauchy-Schwartz, corner
+singularity), the Gram-determinant dependence test, the orthogonalization
+step and its iterated procedure, the rank-2 g-isotropic strip, and the
+anisotropic/alternate decomposition.
 
 Every call here is deterministic and does only what its docstring says:
 no sampling and no self-checks.  The suites in ``supertrop.oracle`` re-check
@@ -20,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, PreconditionError, ShapeError
 from .matrices import Matrix, det, independent
-from .scalars import ONE, ZERO, Scalar, Vector, lin_comb
+from .scalars import ONE, ZERO, Scalar, Vector, dot, lin_comb
 
 
 @dataclass(frozen=True)
@@ -43,26 +45,20 @@ class BilinearForm:
 
 
 def evaluate(form: BilinearForm, v: Vector, w: Vector) -> Scalar:
-    """Strict expansion sum_{i,j} v_i g_ij w_j."""
+    """B(v, w) = v . (G w); by distributivity this is the strict expansion
+    sum_{i,j} v_i g_ij w_j."""
     n = form.dim
     if v.dim != n or w.dim != n:
         raise ShapeError("vector dimension does not match the form")
-    acc = ZERO
-    for i in range(n):
-        vi = v[i]
-        if vi.is_zero:
-            continue
-        row = form.gram.entries[i]
-        for j in range(n):
-            acc = acc + vi * row[j] * w[j]
-    return acc
+    return dot(v, form.gram.apply(w))
 
 
 def gram_of(form: BilinearForm, vs: Sequence[Vector]) -> Matrix:
-    """The k x k grid [<v_i, v_j>]."""
-    return Matrix(
-        tuple(tuple(evaluate(form, vi, vj) for vj in vs) for vi in vs)
-    )
+    """The k x k grid [<v_i, v_j>], applying G to each vector once."""
+    if any(v.dim != form.dim for v in vs):
+        raise ShapeError("vector dimension does not match the form")
+    gws = [form.gram.apply(w) for w in vs]
+    return Matrix(tuple(tuple(dot(v, gw) for gw in gws) for v in vs))
 
 
 @dataclass(frozen=True)
@@ -219,6 +215,8 @@ def gs_step(form: BilinearForm, base: Sequence[Vector], v: Vector) -> GSResult:
     """One orthogonalization step against a g-orthogonal set with tangible
     self-pairings: corrected = v + sum_j (<v,b_j>/beta_j) b_j is
     g-orthogonal to every base vector."""
+    if v.dim != form.dim:
+        raise ShapeError("vector dimension does not match the form")
     _require_symmetric(form)
     _check_orthogonal_set(form, base)
     betas = []

@@ -18,10 +18,11 @@ from .matrices import (
     double_pseudo,
     is_closed_base,
     is_nonsingular,
+    mat_mul,
     quasi_identities,
     rank,
 )
-from .scalars import NU_HI, NU_LO, Scalar, Vector, random_scalar
+from .scalars import NU_HI, NU_LO, Scalar, Vector, dot, random_scalar
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,7 @@ class DualBase:
 def apply(f: Functional, v: Vector) -> Scalar:
     if f.row.dim != v.dim:
         raise ShapeError("functional/vector dimension mismatch")
-    acc = None
-    for a, x in zip(f.row, v):
-        term = a * x
-        acc = term if acc is None else acc + term
-    return acc
+    return dot(f.row, v)
 
 
 def project_closed(a: Matrix, v: Vector) -> Vector:
@@ -81,11 +78,7 @@ def dual_base(a: Matrix) -> DualBase:
 
 def dual_eval_matrix(d: DualBase) -> Matrix:
     """The grid [eps_i(b_j)]; diagonal exactly one, off-diagonal ghost."""
-    n = d.source.cols
-    rows = []
-    for f in d.functionals:
-        rows.append(tuple(apply(f, d.source.col(j)) for j in range(n)))
-    return Matrix(tuple(rows))
+    return mat_mul(Matrix.from_rows(f.row for f in d.functionals), d.source)
 
 
 def dual_rank(d: DualBase) -> int:
@@ -128,11 +121,6 @@ def ghost_monic_verdict(m: Matrix, trials: int = 100, seed: int = 0) -> str:
 
 def is_ghost_monic(m: Matrix, trials: int = 100, seed: int = 0) -> bool:
     return ghost_monic_verdict(m, trials, seed) != COUNTEREXAMPLE
-
-
-def double_dual_eval(v: Vector, f: Functional) -> Scalar:
-    """Evaluation reversal v**(f) = f(v)."""
-    return apply(f, v)
 
 
 @dataclass(frozen=True)

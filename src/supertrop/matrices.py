@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, DomainError, ParseError, ShapeError
-from .scalars import ONE, ZERO, Scalar, Vector, parse_scalar
+from .scalars import ONE, ZERO, Scalar, Vector, dot, parse_scalar
 
 RANK_CAP = 10
 
@@ -86,13 +86,7 @@ class Matrix:
         """Matrix-vector product."""
         if self.cols != v.dim:
             raise ShapeError("matrix/vector shape mismatch")
-        out = []
-        for r in self.entries:
-            acc = ZERO
-            for a, x in zip(r, v):
-                acc = acc + a * x
-            out.append(acc)
-        return Vector(tuple(out))
+        return Vector(tuple(dot(r, v) for r in self.entries))
 
     def ghost_surpasses(self, other: "Matrix") -> bool:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -111,16 +105,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     bt = b.transpose().entries
-    out = []
-    for ra in a.entries:
-        row = []
-        for cb in bt:
-            acc = ZERO
-            for x, y in zip(ra, cb):
-                acc = acc + x * y
-            row.append(acc)
-        out.append(tuple(row))
-    return Matrix(tuple(out))
+    return Matrix(tuple(tuple(dot(ra, cb) for cb in bt) for ra in a.entries))
 
 
 # -- determinants ----------------------------------------------------------

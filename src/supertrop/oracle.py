@@ -288,7 +288,7 @@ def _suite_double_dual(trials: int, seed: int) -> List[Tuple[str, str, str]]:
         tag = f"A=[{a}]".replace("\n", "; ")
         grid = Matrix(
             tuple(
-                tuple(du.double_dual_eval(a.col(j), f) for j in range(n))
+                tuple(du.apply(f, a.col(j)) for j in range(n))
                 for f in d.functionals
             )
         )
@@ -550,8 +550,11 @@ SUITES: Dict[str, Callable[[int, int], List[Tuple[str, str, str]]]] = {
 
 
 def run_suite(name: str, trials: int, seed: int) -> TrialReport:
+    """Run a named suite for ``trials`` >= 1 trials at ``seed``."""
     if name not in SUITES:
         raise DomainError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
+    if trials < 1:
+        raise DomainError(f"trial count must be at least 1, got {trials}")
     return _report(name, trials, seed, SUITES[name](trials, seed))

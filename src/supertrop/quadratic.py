@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 from .bilinear import BilinearForm, evaluate, is_supertropically_symmetric
 from .errors import DomainError, PreconditionError, ShapeError
 from .matrices import Matrix, independent
-from .scalars import ZERO, Scalar, Vector, random_scalar
+from .scalars import ZERO, Scalar, Vector, dot, random_scalar
 
 STRICT = "strict"
 QUASILINEAR = "quasilinear"
@@ -59,12 +59,7 @@ def q_eval(q: QuadraticForm, v: Vector) -> Scalar:
     if v.dim != q.dim:
         raise ShapeError("vector dimension does not match the quadratic form")
     if q.diagonal is not None:
-        acc = ZERO
-        for x, qi in zip(v, q.diagonal):
-            if x.is_zero:
-                continue
-            acc = acc + x.power(2) * qi
-        return acc
+        return dot([x * x for x in v], q.diagonal)
     return evaluate(q.form, v, v)
 
 
@@ -73,7 +68,9 @@ def quasilinearity_check(
 ) -> str:
     """Diagonal forms are strict analytically; form-backed ones are sampled
     for Q(v+w) = Q(v)+Q(w) (strict), the ghost-surpassing weakening
-    (quasilinear), or a violation (neither)."""
+    (quasilinear), or a violation (neither).  ``trials`` must be at least 1."""
+    if trials < 1:
+        raise DomainError(f"trial count must be at least 1, got {trials}")
     if q.diagonal is not None:
         return STRICT
     verdict = STRICT

@@ -10,8 +10,11 @@ Text grammar: ``-inf`` | RATIONAL | RATIONAL``g`` where RATIONAL is an
 optionally signed integer or ``p/q`` with ``q > 0``.
 ``parse_scalar(str(x)) == x`` always.
 
-``random_scalar`` is the one scalar sampler: the suites' ``sample`` and
-the sampled checks in ``dual`` and ``quadratic`` all draw through it.
+``dot`` is the one sum of products: matrix products, functionals, the
+bilinear pairing, the diagonal quadratic form and linear combinations all
+fold through it.  ``random_scalar`` is the one scalar sampler: the suites'
+``sample`` and the sampled checks in ``dual`` and ``quadratic`` all draw
+through it.
 """
 
 from __future__ import annotations
@@ -53,11 +56,15 @@ class Scalar:
 
     @staticmethod
     def tangible(q) -> "Scalar":
-        return Scalar(Fraction(q), False)
+        """The tangible scalar of nu-value q: an int, a ``Fraction`` or a
+        rational string such as ``"-3/2"``.  A float raises ``DomainError``:
+        its binary value is rarely the rational meant."""
+        return Scalar(_rational(q), False)
 
     @staticmethod
     def ghost_of(q) -> "Scalar":
-        return Scalar(Fraction(q), True)
+        """The ghost scalar of nu-value q; q as for :meth:`tangible`."""
+        return Scalar(_rational(q), True)
 
     # -- predicates --------------------------------------------------------
 
@@ -167,6 +174,31 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+def _rational(q) -> Fraction:
+    if isinstance(q, float):
+        raise DomainError(f"float scalar value {q!r}; give an int, Fraction or rational string")
+    return Fraction(q)
+
+
+def dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
+    """The sum of products sum_i xs[i] * ys[i] in one pass over the
+    products' nu-values: the maximum, ghost iff it is attained twice or by a
+    ghost product.  Products with a ``-inf`` factor are skipped; with none
+    left the sum is ``-inf``."""
+    if len(xs) != len(ys):
+        raise ShapeError("dot product length mismatch")
+    best, ghost = None, False
+    for x, y in zip(xs, ys):
+        if x.value is None or y.value is None:
+            continue
+        p = x.value + y.value
+        if best is None or p > best:
+            best, ghost = p, x.ghost or y.ghost
+        elif p == best:
+            ghost = True
+    return ZERO if best is None else Scalar(best, ghost)
 
 
 ZERO = Scalar(None, False)
@@ -292,8 +324,4 @@ def lin_comb(coeffs: Sequence[Scalar], vectors: Sequence[Vector]) -> Vector:
     dim = vectors[0].dim
     if any(v.dim != dim for v in vectors):
         raise ShapeError("vector dimension mismatch")
-    acc = [ZERO] * dim
-    for c, v in zip(coeffs, vectors):
-        for i, x in enumerate(v):
-            acc[i] = acc[i] + c * x
-    return Vector(tuple(acc))
+    return Vector(tuple(dot(coeffs, [v[i] for v in vectors]) for i in range(dim)))

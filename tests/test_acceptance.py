@@ -28,7 +28,7 @@ from supertrop import (
 )
 from supertrop.bilinear import evaluate
 from supertrop.matrices import det
-from supertrop.dual import double_dual_eval
+from supertrop.dual import apply
 
 SEED = 7
 
@@ -136,7 +136,7 @@ def test_criterion_11_worked_examples(verdict):
     d = dual_base(Matrix.identity(3))
     grid = Matrix(
         tuple(
-            tuple(double_dual_eval(Matrix.identity(3).col(j), f) for j in range(3))
+            tuple(apply(f, Matrix.identity(3).col(j)) for j in range(3))
             for f in d.functionals
         )
     )

@@ -11,6 +11,7 @@ from supertrop import (
     ONE,
     PreconditionError,
     Scalar,
+    ShapeError,
     ZERO,
     classify_vector,
     decompose,
@@ -186,6 +187,11 @@ def test_gs_step_frozen():
 def test_gs_step_empty_base():
     v = vector(3, "0g")
     assert gs_step(IDENTITY, [], v).corrected == v
+
+
+def test_gs_step_checks_dimension_with_empty_base():
+    with pytest.raises(ShapeError):
+        gs_step(IDENTITY, [], vector(1))
 
 
 def test_gs_step_already_orthogonal():

@@ -185,6 +185,26 @@ def test_check_json_report(capsys):
     assert payload["seed"] == 3
 
 
+def test_trials_below_one_exit_1(capsys, tmp_path):
+    form = tmp_path / "form.mat"
+    form.write_text("0 -inf\n-inf 0\n")
+    for argv in (["check", "frobenius", "--trials", "-3"],
+                 ["quad", "check", "--form", str(form), "--trials", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "at least 1" in err
+
+
+def test_gs_vector_dimension_exit_1(capsys, tmp_path):
+    form = tmp_path / "form.mat"
+    form.write_text("0 -inf\n-inf 0\n")
+    code, out, err = run(capsys, "gs", str(form), "--vec", "1")
+    assert code == 1
+    assert out == ""
+    assert "dimension" in err
+
+
 def test_seed_env_var(capsys, monkeypatch):
     monkeypatch.setenv("SUPERTROP_SEED", "11")
     code, out, _ = run(capsys, "--format", "json", "check", "frobenius",

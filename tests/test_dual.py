@@ -12,7 +12,6 @@ from supertrop import (
     apply,
     check_map_axioms,
     close,
-    double_dual_eval,
     dual_base,
     dual_eval_matrix,
     dual_rank,
@@ -164,11 +163,11 @@ def test_double_dual_standard_base():
     for i, f in enumerate(d.functionals):
         for j in range(3):
             e_j = Matrix.identity(3).col(j)
-            assert double_dual_eval(e_j, f) == (ONE if i == j else ZERO)
+            assert apply(f, e_j) == (ONE if i == j else ZERO)
 
 
 def test_double_dual_eval_frozen():
-    assert double_dual_eval(vector(3, 5), Functional(vector(0, 0))) == T(5)
+    assert apply(Functional(vector(0, 0)), vector(3, 5)) == T(5)
 
 
 def test_double_dual_closed_base_pattern():
@@ -176,7 +175,7 @@ def test_double_dual_closed_base_pattern():
     d = dual_base(a)
     grid = Matrix(
         tuple(
-            tuple(double_dual_eval(a.col(j), f) for j in range(2))
+            tuple(apply(f, a.col(j)) for j in range(2))
             for f in d.functionals
         )
     )

@@ -1,8 +1,10 @@
 """Matrix algebra: determinants, pseudo-inverses, quasi-identities, rank."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from supertrop import (
     CapacityError,
@@ -274,3 +276,23 @@ def test_matrix_from_json_rejects_malformed(text):
 def test_matrix_text_round_trip():
     m = parse_matrix("0g 1/2\n-7/3 -inf")
     assert parse_matrix(str(m)) == m
+
+
+SCALARS = st.one_of(
+    st.just(ZERO),
+    st.builds(Scalar, st.fractions(-20, 20, max_denominator=6), st.booleans()),
+)
+MATRICES = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(SCALARS, min_size=cols, max_size=cols), min_size=1, max_size=4)
+).map(Matrix.from_rows)
+
+
+@given(MATRICES)
+def test_text_round_trip_property(m):
+    assert parse_matrix(str(m)) == m
+
+
+@given(MATRICES)
+def test_json_round_trip_property(m):
+    assert matrix_from_json(matrix_to_json(m)) == m
+    assert matrix_from_json(json.dumps(matrix_to_json(m))) == m

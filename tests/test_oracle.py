@@ -230,3 +230,9 @@ def test_report_fields():
 def test_run_suite_unknown_name():
     with pytest.raises(DomainError):
         run_suite("no-such-suite", 1, 0)
+
+
+def test_run_suite_needs_a_trial():
+    for trials in (0, -3):
+        with pytest.raises(DomainError, match="at least 1"):
+            run_suite("frobenius", trials, 0)

@@ -52,6 +52,13 @@ def test_one_sided_gram_is_neither():
     assert quasilinearity_check(q) == NEITHER
 
 
+def test_quasilinearity_check_needs_a_trial():
+    for q in (QuadraticForm.from_form(BilinearForm(Matrix.identity(2))),
+              QuadraticForm.from_diagonal((T(0), T(2)))):
+        with pytest.raises(DomainError, match="at least 1"):
+            quasilinearity_check(q, trials=0)
+
+
 def test_identity_gram_is_strict():
     q = QuadraticForm.from_form(BilinearForm(Matrix.identity(2)))
     assert quasilinearity_check(q, trials=100) == STRICT

@@ -147,6 +147,14 @@ def test_parse_rejects_garbage():
             parse_scalar(bad)
 
 
+def test_constructors_reject_floats():
+    assert T("-3/2") == T(Fraction(-3, 2)) == parse_scalar("-3/2")
+    assert G(2) == parse_scalar("2g")
+    for make in (T, G, vector):
+        with pytest.raises(DomainError):
+            make(0.1)
+
+
 # -- sampler ---------------------------------------------------------------
 
 
