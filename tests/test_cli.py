@@ -231,6 +231,114 @@ def test_file_and_inline_exit_2(capsys, a_mat):
     assert "error:" in err
 
 
+# Exact output of every subcommand on small fixed inputs.  Each case runs in
+# text and in JSON; a JSON stdout given as a dict is printed with indent 2 and
+# sorted keys.  ``{name}`` in an argv is the path of GOLDEN_FILES[name].
+GOLDEN_FILES = {
+    "a": "0 1\n2 0\n",
+    "closed": "0g 1\n2 0g\n",
+    "form": "0 2\n2 0\n",
+    "hyper": "-inf 0\n0 -inf\n",
+    "vecs": "0 0\n1 -inf\n",
+    "base": "0 -inf\n",
+    "block": "0 -inf -inf\n-inf -inf 0\n-inf 0 -inf\n",
+}
+
+# (id, argv, exit code, text stdout, JSON stdout, stderr)
+GOLDEN = [
+    ("det", ["det", "{a}"], 0, "3\n",
+     {"schema": "supertrop/2", "value": "3", "witnesses": [[1, 0]]}, ""),
+    ("adj", ["adj", "{a}"], 0, "0 1\n2 0\n",
+     {"rows": [["0", "1"], ["2", "0"]], "schema": "supertrop/2"}, ""),
+    ("pinv", ["pinv", "--inline", "0 1; 2 0"], 0, "-3 -2\n-1 -3\n",
+     {"rows": [["-3", "-2"], ["-1", "-3"]], "schema": "supertrop/2"}, ""),
+    ("quasiid", ["quasiid", "{a}"], 0, "0 -2g\n-1g 0\n\n0 -2g\n-1g 0\n",
+     {"I'_A": [["0", "-2g"], ["-1g", "0"]], "I_A": [["0", "-2g"], ["-1g", "0"]],
+      "schema": "supertrop/2"}, ""),
+    ("close", ["close", "{a}"], 0, "0g 1\n2 0g\n",
+     {"rows": [["0g", "1"], ["2", "0g"]], "schema": "supertrop/2"}, ""),
+    ("rank", ["rank", "--inline", "1 2; 3 4"], 0, "1\n",
+     {"rank": 1, "schema": "supertrop/2"}, ""),
+    ("indep", ["indep", "{a}"], 0, "true\n",
+     {"independent": True, "schema": "supertrop/2"}, ""),
+    ("dualbase", ["dualbase", "{closed}"], 0, "-3g -2\n-1 -3g\n",
+     {"rows": [["-3g", "-2"], ["-1", "-3g"]], "schema": "supertrop/2"}, ""),
+    ("dualgrid", ["dualgrid", "{closed}"], 0, "0 -2g\n-1g 0\n",
+     {"rows": [["0", "-2g"], ["-1g", "0"]], "schema": "supertrop/2"}, ""),
+    ("gram", ["gram", "{form}", "{vecs}"], 0, "2g 3\n3 2\n",
+     {"rows": [["2g", "3"], ["3", "2"]], "schema": "supertrop/2"}, ""),
+    ("symmetric", ["symmetric", "{form}"], 0, "true\n",
+     {"schema": "supertrop/2", "symmetric": True}, ""),
+    ("classify", ["classify", "{hyper}", "--vec", "0 -inf"], 0, "g-isotropic\n",
+     {"g-isotropic": True, "normal": False, "schema": "supertrop/2"}, ""),
+    ("pair", ["pair", "{form}", "--vec", "0 -inf", "--vec", "1 1"], 0,
+     "left-g-orthogonal: false\nright-g-orthogonal: false\ncompatible: true\n"
+     "strictly-compatible: true\nweakly-cauchy-schwartz: false\ncauchy-schwartz: false\n"
+     "corner-singular: false\n",
+     {"cauchy-schwartz": False, "compatible": True, "corner-singular": False,
+      "left-g-orthogonal": False, "right-g-orthogonal": False, "schema": "supertrop/2",
+      "strictly-compatible": True, "weakly-cauchy-schwartz": False}, ""),
+    ("gs", ["gs", "{form}", "--vec", "1 0"], 0, "projected: -inf -inf\ncorrected: 1 0\ndominant: -\n",
+     {"corrected": "1 0", "dominant": [], "projected": "-inf -inf", "schema": "supertrop/2"}, ""),
+    ("gs-base", ["gs", "{form}", "--base", "{base}", "--vec", "1 0"], 0,
+     "projected: 2 -inf\ncorrected: 2 0\ndominant: 0\n",
+     {"corrected": "2 0", "dominant": [0], "projected": "2 -inf", "schema": "supertrop/2"}, ""),
+    ("strip", ["strip", "{form}"], 0, "kind=interval lo=-2 hi=2\n",
+     {"hi": "2", "kind": "interval", "lo": "-2", "schema": "supertrop/2"}, ""),
+    ("strip-vec", ["strip", "{hyper}", "--vec", "0 1", "--vec", "1 0"], 0, "kind=interval lo=-1 hi=1\n",
+     {"hi": "1", "kind": "interval", "lo": "-1", "schema": "supertrop/2"}, ""),
+    ("decompose", ["decompose", "{block}"], 0,
+     "anisotropic:\n  0 -inf -inf\nalternate:\n  -inf 0 -inf\n  -inf -inf 0\n",
+     {"alternate": ["-inf 0 -inf", "-inf -inf 0"], "anisotropic": ["0 -inf -inf"],
+      "schema": "supertrop/2"}, ""),
+    ("quad-eval", ["quad", "eval", "--diag", "0 2", "--vec", "1 1"], 0, "4\n",
+     {"schema": "supertrop/2", "value": "4"}, ""),
+    ("quad-check", ["quad", "check", "--diag", "0 2g", "--trials", "5", "--seed", "1"], 0, "strict\n",
+     {"schema": "supertrop/2", "trials": 5, "verdict": "strict"}, ""),
+    ("quad-fromq", ["quad", "fromq", "--diag", "0 2"], 0, "0 1\n1 2\n",
+     {"rows": [["0", "1"], ["1", "2"]], "schema": "supertrop/2"}, ""),
+    ("quad-hyper", ["quad", "hyper", "5"], 0, "-inf 5\n5 -inf\n",
+     {"rows": [["-inf", "5"], ["5", "-inf"]], "schema": "supertrop/2"}, ""),
+    ("quad-osum-diag", ["quad", "osum", "--diag", "0", "--diag", "2"], 0, "0 2\n",
+     {"diagonal": ["0", "2"], "schema": "supertrop/2"}, ""),
+    ("quad-osum-form", ["quad", "osum", "--form", "{hyper}", "--form", "{form}"], 0,
+     "-inf 0 -inf -inf\n0 -inf -inf -inf\n-inf -inf 0 2\n-inf -inf 2 0\n",
+     {"rows": [["-inf", "0", "-inf", "-inf"], ["0", "-inf", "-inf", "-inf"],
+               ["-inf", "-inf", "0", "2"], ["-inf", "-inf", "2", "0"]], "schema": "supertrop/2"}, ""),
+    ("check", ["check", "frobenius", "--trials", "5", "--seed", "2"], 0,
+     "frobenius: pass (5 trials, seed 2)\n",
+     {"failures": [], "seed": 2, "suite": "frobenius", "trials": 5, "verdict": "pass"}, ""),
+    ("check-no-trials", ["check", "frobenius", "--trials", "0"], 1, "",
+     "", "error: trial count must be at least 1, got 0\n"),
+    ("pinv-singular", ["pinv", "--inline", "1 2; 3 4"], 1, "",
+     "", "error: singular matrix: |A| = 5g\n"),
+    ("det-bad-token", ["det", "--inline", "0 x"], 2, "",
+     "", "error: bad scalar token: 'x'\n"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv, code, text_out, json_out, err",
+    [case[1:] for case in GOLDEN], ids=[case[0] for case in GOLDEN],
+)
+def test_golden_output(capsys, monkeypatch, tmp_path, fmt, argv, code, text_out, json_out, err):
+    monkeypatch.delenv("SUPERTROP_SEED", raising=False)
+    paths = {}
+    for name, text in GOLDEN_FILES.items():
+        paths[name] = tmp_path / f"{name}.mat"
+        paths[name].write_text(text)
+    argv = [a.format(**paths) for a in argv]
+    if fmt == "json":
+        argv = ["--format", "json"] + argv
+        out = json_out
+        if isinstance(json_out, dict):
+            out = json.dumps(json_out, indent=2, sort_keys=True) + "\n"
+    else:
+        out = text_out
+    assert run(capsys, *argv) == (code, out, err)
+
+
 # Malformed inputs that once ended in a Python traceback.
 BAD_INPUTS = [
     ("zero-denominator", ["det", "--inline=1/0 1; 2 3"], None, None),
