@@ -22,7 +22,7 @@ from .matrices import (
     quasi_identities,
     rank,
 )
-from .scalars import NU_HI, NU_LO, Scalar, Vector, dot, random_scalar
+from .scalars import NU_HI, NU_LO, Scalar, Vector, check_trials, dot, random_scalar
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,7 @@ def ghost_monic_verdict(m: Matrix, trials: int = 100, seed: int = 0) -> str:
     """Exact for nonsingular matrices (the ghost kernel of a nonsingular
     matrix contains no tangible vector); otherwise a seeded refutation
     search over tangible vectors."""
+    check_trials(trials)
     if not m.is_square:
         raise ShapeError("ghost-monic test needs a square matrix")
     if is_nonsingular(m):
@@ -135,6 +136,7 @@ def check_map_axioms(m: Matrix, trials: int = 100, seed: int = 0) -> MapAxiomRep
     tangible and ghost homogeneity.  The axioms ask additivity and ghost
     homogeneity only up to ghost-surpassing; matrix maps are linear, so all
     three are checked as equalities, which ghost-surpassing follows from."""
+    check_trials(trials)
     for i in range(trials):
         rng = random.Random(f"map-axioms:{seed}:{i}")
         v, w = (Vector(tuple(random_scalar(rng, 0.25, 0.15) for _ in range(m.cols)))

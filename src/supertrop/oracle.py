@@ -37,7 +37,7 @@ from .matrices import (
     is_quasi_identity,
     rank,
 )
-from .scalars import NU_HI, ONE, ZERO, Scalar, Vector, lin_comb, random_scalar
+from .scalars import NU_HI, ONE, ZERO, Scalar, Vector, check_trials, lin_comb, random_scalar
 
 BRUTE_FORCE_CAP = 8
 DEPENDENCE_CAP = 2 ** 16
@@ -555,6 +555,5 @@ def run_suite(name: str, trials: int, seed: int) -> TrialReport:
         raise DomainError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
-    if trials < 1:
-        raise DomainError(f"trial count must be at least 1, got {trials}")
+    check_trials(trials)
     return _report(name, trials, seed, SUITES[name](trials, seed))

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 from .bilinear import BilinearForm, evaluate, is_supertropically_symmetric
 from .errors import DomainError, PreconditionError, ShapeError
 from .matrices import Matrix, independent
-from .scalars import ZERO, Scalar, Vector, dot, random_scalar
+from .scalars import ZERO, Scalar, Vector, check_trials, dot, random_scalar
 
 STRICT = "strict"
 QUASILINEAR = "quasilinear"
@@ -69,8 +69,7 @@ def quasilinearity_check(
     """Diagonal forms are strict analytically; form-backed ones are sampled
     for Q(v+w) = Q(v)+Q(w) (strict), the ghost-surpassing weakening
     (quasilinear), or a violation (neither).  ``trials`` must be at least 1."""
-    if trials < 1:
-        raise DomainError(f"trial count must be at least 1, got {trials}")
+    check_trials(trials)
     if q.diagonal is not None:
         return STRICT
     verdict = STRICT

@@ -14,7 +14,7 @@ optionally signed integer or ``p/q`` with ``q > 0``.
 bilinear pairing, the diagonal quadratic form and linear combinations all
 fold through it.  ``random_scalar`` is the one scalar sampler: the suites'
 ``sample`` and the sampled checks in ``dual`` and ``quadratic`` all draw
-through it.
+through it, and all reject a trial count below 1 through ``check_trials``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ class Scalar:
     def tangible(q) -> "Scalar":
         """The tangible scalar of nu-value q: an int, a ``Fraction`` or a
         rational string such as ``"-3/2"``.  A float raises ``DomainError``:
-        its binary value is rarely the rational meant."""
+        its binary value is rarely the rational meant; a string that is not
+        a rational raises ``ParseError``."""
         return Scalar(_rational(q), False)
 
     @staticmethod
@@ -179,7 +180,10 @@ class Scalar:
 def _rational(q) -> Fraction:
     if isinstance(q, float):
         raise DomainError(f"float scalar value {q!r}; give an int, Fraction or rational string")
-    return Fraction(q)
+    try:
+        return Fraction(q)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational scalar value {q!r}") from exc
 
 
 def dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
@@ -234,6 +238,12 @@ def random_scalar(
     if r < zero_density:
         return ZERO
     return Scalar(Fraction(rng.randint(NU_LO, NU_HI)), r < zero_density + ghost_density)
+
+
+def check_trials(trials: int) -> None:
+    """Every sampled check runs at least one trial."""
+    if trials < 1:
+        raise DomainError(f"trial count must be at least 1, got {trials}")
 
 
 # -- vectors ---------------------------------------------------------------

@@ -213,6 +213,17 @@ def test_seed_env_var(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 11
 
 
+def test_seed_env_var_not_an_integer_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("SUPERTROP_SEED", "abc")
+    for argv in (["check", "frobenius", "--trials", "1"], ["quad", "check", "--diag", "0 2g"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: SUPERTROP_SEED must be an integer, got 'abc'\n"
+    code, _, _ = run(capsys, "check", "frobenius", "--trials", "1", "--seed", "4")
+    assert code == 0
+
+
 def test_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "det", "--inline", "0 nonsense")
     assert code == 2

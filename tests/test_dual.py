@@ -3,6 +3,7 @@
 import pytest
 
 from supertrop import (
+    DomainError,
     Functional,
     Matrix,
     ONE,
@@ -149,6 +150,13 @@ def test_ghost_monic():
     assert not is_ghost_monic(parse_matrix("0 0\n0 0"), trials=50)
 
 
+def test_ghost_monic_needs_a_trial():
+    # A is nonsingular: the count is checked before the exact shortcut.
+    for m in (A, parse_matrix("0 0\n0 0")):
+        with pytest.raises(DomainError, match="at least 1"):
+            ghost_monic_verdict(m, trials=0)
+
+
 def test_tropically_onto():
     assert is_tropically_onto(Matrix.identity(2))
     assert not is_tropically_onto(parse_matrix("1 2\n3 4"))
@@ -188,3 +196,9 @@ def test_double_dual_closed_base_pattern():
 def test_map_axioms_pass():
     for m in (A, Matrix.identity(3), parse_matrix("0 0\n0 0")):
         assert check_map_axioms(m, trials=25).passed
+
+
+def test_map_axioms_needs_a_trial():
+    for trials in (0, -2):
+        with pytest.raises(DomainError, match="at least 1"):
+            check_map_axioms(parse_matrix("1 2\n3 4"), trials=trials)

@@ -155,6 +155,13 @@ def test_constructors_reject_floats():
             make(0.1)
 
 
+def test_constructors_reject_bad_strings():
+    for make in (T, G):
+        for bad in ("abc", "1/0", ""):
+            with pytest.raises(ParseError, match="bad rational"):
+                make(bad)
+
+
 # -- sampler ---------------------------------------------------------------
 
 
