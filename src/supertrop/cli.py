@@ -268,10 +268,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text, payload, *code = args.run(args)
-        if args.format == "json":
-            text = payload if isinstance(payload, str) else json.dumps(
-                {"schema": SCHEMA, **payload}, indent=2, sort_keys=True)
-        print(text)
+        if args.format == "json" and not isinstance(payload, str):
+            payload = json.dumps({"schema": SCHEMA, **payload}, indent=2, sort_keys=True)
+        print(payload if args.format == "json" else text)
         return code[0] if code else 0
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -106,7 +106,7 @@ NO_COUNTEREXAMPLE = "no-counterexample"
 def ghost_monic_verdict(m: Matrix, trials: int = 100, seed: int = 0) -> str:
     """Exact for nonsingular matrices (the ghost kernel of a nonsingular
     matrix contains no tangible vector); otherwise a seeded refutation
-    search over tangible vectors."""
+    search over tangible vectors.  ``trials`` must be at least 1."""
     check_trials(trials)
     if not m.is_square:
         raise ShapeError("ghost-monic test needs a square matrix")
@@ -135,7 +135,8 @@ def check_map_axioms(m: Matrix, trials: int = 100, seed: int = 0) -> MapAxiomRep
     """Sampled check that v |-> M v is a supertropical map: additivity and
     tangible and ghost homogeneity.  The axioms ask additivity and ghost
     homogeneity only up to ghost-surpassing; matrix maps are linear, so all
-    three are checked as equalities, which ghost-surpassing follows from."""
+    three are checked as equalities, which ghost-surpassing follows from.
+    ``trials`` must be at least 1."""
     check_trials(trials)
     for i in range(trials):
         rng = random.Random(f"map-axioms:{seed}:{i}")

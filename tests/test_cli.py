@@ -185,6 +185,17 @@ def test_check_json_report(capsys):
     assert payload["seed"] == 3
 
 
+def test_check_counterexample_exit_3(capsys, monkeypatch):
+    monkeypatch.setitem(supertrop.oracle.SUITES, "frobenius", lambda trials, seed: [("law", "1", "2")])
+    argv = ["check", "frobenius", "--trials", "2", "--seed", "5"]
+    assert run(capsys, *argv) == (
+        3, "frobenius: counterexample (2 trials, seed 5)\n  FAIL law: expected 1, got 2\n", "")
+    code, out, err = run(capsys, "--format", "json", *argv)
+    assert (code, err) == (3, "")
+    assert out == json.dumps({"failures": [["law", "1", "2"]], "seed": 5, "suite": "frobenius",
+                              "trials": 2, "verdict": "counterexample"}, indent=2, sort_keys=True) + "\n"
+
+
 def test_trials_below_one_exit_1(capsys, tmp_path):
     form = tmp_path / "form.mat"
     form.write_text("0 -inf\n-inf 0\n")
