@@ -160,27 +160,30 @@ def _decompose(args):
     return text, {"anisotropic": [str(v) for v in aniso], "alternate": [str(v) for v in alternate]}
 
 
-def _quad_form(args, which: int = 0) -> qd.QuadraticForm:
+def _quad_forms(args, count: int) -> List[qd.QuadraticForm]:
+    """Exactly ``count`` quadratic forms, the ``--diag`` ones first."""
     diags, forms = args.diag or [], args.form or []
-    if which >= len(diags) + len(forms):
-        raise ParseError("give the quadratic form with --diag or --form")
-    if which < len(diags):
-        return qd.QuadraticForm.from_diagonal(tuple(parse_vector(diags[which])))
-    return qd.QuadraticForm.from_form(bl.BilinearForm(_load_matrix(forms[which - len(diags)])))
+    if len(diags) + len(forms) != count:
+        noun = "form" if count == 1 else "forms"
+        raise ParseError(f"quad {args.qcommand} takes exactly {count} {noun} from --diag and "
+                         f"--form, got {len(diags) + len(forms)}")
+    return [qd.QuadraticForm.from_diagonal(tuple(parse_vector(d))) for d in diags] + [
+        qd.QuadraticForm.from_form(bl.BilinearForm(_load_matrix(f))) for f in forms
+    ]
 
 
 def _quad_eval(args):
-    value = str(qd.q_eval(_quad_form(args), parse_vector(args.vec)))
+    value = str(qd.q_eval(_quad_forms(args, 1)[0], parse_vector(args.vec)))
     return value, {"value": value}
 
 
 def _quad_check(args):
-    verdict = qd.quasilinearity_check(_quad_form(args), args.trials, _seed(args))
+    verdict = qd.quasilinearity_check(_quad_forms(args, 1)[0], args.trials, _seed(args))
     return verdict, {"verdict": verdict, "trials": args.trials}
 
 
 def _quad_osum(args):
-    out = qd.orthogonal_sum(_quad_form(args, 0), _quad_form(args, 1))
+    out = qd.orthogonal_sum(*_quad_forms(args, 2))
     if not out.is_diagonal:
         return _rows(out.form.gram)
     diagonal = [str(x) for x in out.diagonal]
@@ -250,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sqc.add_argument("--trials", type=int, default=200)
     sqc.add_argument("--seed", type=int, default=None)
     quadcmd("fromq", "bilinear companion of a strictly quasilinear form",
-            lambda args: _rows(qd.form_from_q(_quad_form(args)).gram))
+            lambda args: _rows(qd.form_from_q(_quad_forms(args, 1)[0]).gram))
     sqh = cmd(qsub, "hyper", "hyperbolic plane gram matrix",
               lambda args: _rows(qd.hyperbolic_plane(parse_scalar(args.value)).gram))
     sqh.add_argument("value", help="tangible cross pairing")

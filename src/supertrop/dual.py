@@ -19,7 +19,7 @@ from .matrices import (
     is_closed_base,
     is_nonsingular,
     mat_mul,
-    quasi_identities,
+    pseudo_inverse,
     rank,
 )
 from .scalars import NU_HI, NU_LO, Scalar, Vector, check_trials, dot, random_scalar
@@ -49,8 +49,7 @@ def apply(f: Functional, v: Vector) -> Scalar:
 
 def project_closed(a: Matrix, v: Vector) -> Vector:
     """The idempotent projection v |-> I_A v onto the closed column space."""
-    i_a, _ = quasi_identities(a)
-    return i_a.apply(v)
+    return a.apply(pseudo_inverse(a).apply(v))
 
 
 def lower(a: Matrix, v: Vector) -> Vector:

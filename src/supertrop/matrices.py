@@ -3,7 +3,9 @@
 Determinants are permanents (no signs exist in the semiring).  ``det`` is
 the one engine: a maximum-weight assignment with an exact uniqueness test,
 O(n^3) and uncapped.  :func:`supertrop.oracle.brute_force_det` is its
-independent check, a full permutation expansion for n <= 8.
+independent check, a full permutation expansion for n <= 8.  The adjoint of
+a nonsingular A is the closure of that assignment, also O(n^3); otherwise it
+is the grid of n^2 minor determinants.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, DomainError, ParseError, ShapeError
 from .scalars import ONE, ZERO, Scalar, Vector, dot, parse_scalar
@@ -138,24 +140,27 @@ def det(a: Matrix) -> DetResult:
     """
     if not a.is_square:
         raise ShapeError("determinant of a non-square matrix")
-    rows = a.entries
-    scale = math.lcm(
-        *(e.value.denominator for r in rows for e in r if e.value is not None)
-    )
+    return _solve(a)[0]
+
+
+def _solve(a: Matrix) -> Tuple[DetResult, Optional[tuple]]:
+    """|A| for ``det`` and ``adjoint``, plus (scale, total, w, sigma, u, v)
+    when an assignment exists: the scale, the optimum and the weights."""
+    scale = math.lcm(*(e.value.denominator for r in a.entries for e in r if e.value is not None))
 
     def weight(q: Optional[Fraction]) -> Optional[int]:
         return None if q is None else q.numerator * (scale // q.denominator)
 
-    w = [[weight(e.value) for e in r] for r in rows]
+    w = [[weight(e.value) for e in r] for r in a.entries]
     found = _assignment(w)
     if found is None:
-        return DetResult(ZERO, frozenset())
+        return DetResult(ZERO, frozenset()), None
     sigma, u, v = found
     tie = _tie(w, sigma, u, v)
-    ghost = tie is not None or any(rows[i][j].ghost for i, j in enumerate(sigma))
-    total = Fraction(sum(w[i][j] for i, j in enumerate(sigma)), scale)
-    witnesses = {sigma} if tie is None else {sigma, tie}
-    return DetResult(Scalar(total, ghost), frozenset(witnesses))
+    ghost = tie is not None or any(a.entries[i][j].ghost for i, j in enumerate(sigma))
+    total = sum(w[i][j] for i, j in enumerate(sigma))
+    witnesses = frozenset({sigma} if tie is None else {sigma, tie})
+    return DetResult(Scalar(Fraction(total, scale), ghost), witnesses), (scale, total, w, sigma, u, v)
 
 
 def _assignment(
@@ -245,30 +250,64 @@ def _tie(
     return tuple(tau)
 
 
-def _minor(a: Matrix, drop_row: int, drop_col: int) -> Matrix:
-    rows = [
-        tuple(e for j, e in enumerate(r) if j != drop_col)
-        for i, r in enumerate(a.entries)
-        if i != drop_row
-    ]
-    return Matrix(tuple(rows))
+def minor_grid(a: Matrix, engine: Callable[[Matrix], DetResult]) -> Matrix:
+    """The adjoint by definition, one ``engine`` call per minor: entry (i, j)
+    is the determinant of the matrix with row j and column i deleted."""
+    n, rows = a.rows, a.entries
+    if n == 1:
+        return Matrix(((ONE,),))
+
+    def minor(j: int, i: int) -> Scalar:
+        return engine(Matrix(tuple(r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j))).value
+
+    return Matrix(tuple(tuple(minor(j, i) for j in range(n)) for i in range(n)))
 
 
 def adjoint(a: Matrix) -> Matrix:
     """Transposed grid of minor determinants; entry (i, j) is the
-    determinant of the matrix with row j and column i deleted."""
+    determinant of the matrix with row j and column i deleted.  O(n^3) for a
+    nonsingular A, the minor grid otherwise."""
     if not a.is_square:
         raise ShapeError("adjoint of a non-square matrix")
-    n = a.rows
-    if n == 1:
-        return Matrix(((ONE,),))
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(det(_minor(a, j, i)).value)
-        out.append(tuple(row))
-    return Matrix(tuple(out))
+    d, solved = _solve(a)
+    return _closure(a, solved) if d.value.is_tangible else minor_grid(a, det)
+
+
+def _closure(a: Matrix, solved: tuple) -> Matrix:
+    """The adjoint of a nonsingular A: an optimal permutation of minor (row
+    j, column i deleted) leaves the unique optimum sigma only along a path
+    owner(i) -> ... -> j over edges r -> owner(c), one per finite (r, c) off
+    sigma, of reduced cost u_r + v_c - w_rc >= 0.  Every cycle costs more
+    than zero, so best walks are best simple paths (Butkovic, Max-linear
+    Systems, 2010, 1.6): one Floyd-Warshall pass over (cost, ghost) labels,
+    summed as in the semiring (the cheaper wins, a tie is ghost)."""
+    scale, total, w, sigma, u, v = solved
+    n, inf = a.rows, math.inf
+    owner = {c: r for r, c in enumerate(sigma)}
+    cost = [[inf] * n for _ in range(n)]
+    ghost = [[False] * n for _ in range(n)]
+    for r, row in enumerate(w):
+        for c, x in enumerate(row):
+            if x is not None and c != sigma[r]:
+                cost[r][owner[c]], ghost[r][owner[c]] = u[r] + v[c] - x, a.entries[r][c].ghost
+    for k in range(n):
+        for cost_i, ghost_i in zip(cost, ghost):
+            via = cost_i[k]
+            if via == inf:
+                continue
+            for j, step in enumerate(cost[k]):
+                d = via + step
+                if d < cost_i[j]:
+                    cost_i[j], ghost_i[j] = d, ghost_i[k] or ghost[k][j]
+                elif d == cost_i[j] < inf:
+                    ghost_i[j] = True
+
+    def entry(i: int, j: int) -> Scalar:
+        r = owner[i]  # the empty path is kept out of cost: a pass would add it to itself, a tie
+        d, g = (0, False) if r == j else (cost[r][j], ghost[r][j])
+        return ZERO if d == inf else Scalar(Fraction(total - u[j] - v[i] - d, scale), g)
+
+    return Matrix(tuple(tuple(entry(i, j) for j in range(n)) for i in range(n)))
 
 
 def is_nonsingular(a: Matrix) -> bool:
@@ -279,12 +318,11 @@ def pseudo_inverse(a: Matrix) -> Matrix:
     """A^nabla = adj(A) / |A|; defined only for nonsingular A."""
     if not a.is_square:
         raise DomainError("pseudo-inverse of a non-square matrix")
-    d = det(a).value
-    if not d.is_tangible:
-        raise DomainError(f"singular matrix: |A| = {d}")
-    dinv = d.inv()
-    adj = adjoint(a)
-    return Matrix(tuple(tuple(dinv * e for e in r) for r in adj.entries))
+    d, solved = _solve(a)
+    if not d.value.is_tangible:
+        raise DomainError(f"singular matrix: |A| = {d.value}")
+    dinv = d.value.inv()
+    return Matrix(tuple(tuple(dinv * e for e in r) for r in _closure(a, solved).entries))
 
 
 def quasi_identities(a: Matrix) -> Tuple[Matrix, Matrix]:
@@ -312,8 +350,7 @@ def double_pseudo(a: Matrix) -> Matrix:
 
 def close(a: Matrix) -> Matrix:
     """The closed base matrix I_A A."""
-    i_a, _ = quasi_identities(a)
-    return mat_mul(i_a, a)
+    return mat_mul(mat_mul(a, pseudo_inverse(a)), a)
 
 
 def is_closed_base(a: Matrix) -> bool:

@@ -29,10 +29,12 @@ from .errors import CapacityError, DomainError
 from .matrices import (
     DetResult,
     Matrix,
+    adjoint,
     close,
     det,
     independent,
     mat_mul,
+    minor_grid,
     quasi_identities,
     is_quasi_identity,
     rank,
@@ -238,6 +240,9 @@ def _suite_quasi_identity(trials: int, seed: int) -> List[Tuple[str, str, str]]:
         a = sample("nonsingular-matrix", n, seed, i)
         i_a, i_a_prime = quasi_identities(a)
         tag = f"A=[{a}]".replace("\n", "; ")
+        adj, grid = adjoint(a), minor_grid(a, brute_force_det)
+        if adj != grid:
+            failures.append((tag, f"adjoint [{grid}]".replace("\n", "; "), f"[{adj}]".replace("\n", "; ")))
         if not is_quasi_identity(i_a):
             failures.append((tag, "I_A quasi-identity", "violated"))
         if not is_quasi_identity(i_a_prime):

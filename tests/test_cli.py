@@ -327,6 +327,14 @@ GOLDEN = [
      "-inf 0 -inf -inf\n0 -inf -inf -inf\n-inf -inf 0 2\n-inf -inf 2 0\n",
      {"rows": [["-inf", "0", "-inf", "-inf"], ["0", "-inf", "-inf", "-inf"],
                ["-inf", "-inf", "0", "2"], ["-inf", "-inf", "2", "0"]], "schema": "supertrop/2"}, ""),
+    ("quad-eval-two-forms", ["quad", "eval", "--diag", "0 2", "--form", "missing.mat", "--vec", "1 1"], 2,
+     "", "", "error: quad eval takes exactly 1 form from --diag and --form, got 2\n"),
+    ("quad-check-no-form", ["quad", "check"], 2,
+     "", "", "error: quad check takes exactly 1 form from --diag and --form, got 0\n"),
+    ("quad-fromq-two-forms", ["quad", "fromq", "--diag", "0 2", "--diag", "9 9"], 2,
+     "", "", "error: quad fromq takes exactly 1 form from --diag and --form, got 2\n"),
+    ("quad-osum-three-forms", ["quad", "osum", "--diag", "0", "--diag", "2", "--form", "{form}"], 2,
+     "", "", "error: quad osum takes exactly 2 forms from --diag and --form, got 3\n"),
     ("check", ["check", "frobenius", "--trials", "5", "--seed", "2"], 0,
      "frobenius: pass (5 trials, seed 2)\n",
      {"failures": [], "seed": 2, "suite": "frobenius", "trials": 5, "verdict": "pass"}, ""),

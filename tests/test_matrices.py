@@ -1,6 +1,7 @@
 """Matrix algebra: determinants, pseudo-inverses, quasi-identities, rank."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,8 @@ from supertrop import (
     rank,
     vector,
 )
-from supertrop.matrices import double_pseudo
+from supertrop.matrices import double_pseudo, minor_grid
+from supertrop.oracle import brute_force_det, sample
 
 A = parse_matrix("0 1\n2 0")
 T = Scalar.tangible
@@ -120,6 +122,49 @@ def test_adjoint_diagonal():
 def test_adjoint_swap_diagonal():
     assert adjoint(A) == A
     assert adjoint(parse_matrix("0 0\n0 0")) == parse_matrix("0 0\n0 0")
+
+
+def test_adjoint_matches_minor_grid_oracle():
+    # Small numerators over denominators up to 6 make ties, ghosts and -inf
+    # entries common, so both the closure (nonsingular) and the minor grid
+    # (singular) run.
+    rng = random.Random(20261018)
+    paths = set()
+    for n in range(1, 8):
+        for _ in range(40 if n < 7 else 8):
+            a = Matrix.from_rows(
+                [
+                    ZERO if rng.random() < 0.15
+                    else Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 6)), rng.random() < 0.2)
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            )
+            paths.add(is_nonsingular(a))
+            assert adjoint(a) == minor_grid(a, brute_force_det), str(a)
+    assert paths == {True, False}
+
+
+def test_adjoint_minor_ghost_by_tie():
+    # Minor (row 2, column 0): -1 + -1 and -2 + 0 tie at -2.
+    a = parse_matrix("0 -1 -2\n-5 0 -1\n-5 -5 0")
+    assert is_nonsingular(a)
+    assert adjoint(a) == parse_matrix("0 -1 -2g\n-5 0 -1\n-5 -5 0")
+
+
+def test_adjoint_minor_ghost_by_ghost_entry():
+    # The unique best path of minors (row 2, column 0) and (row 2, column 1)
+    # runs through the ghost entry -1g.
+    a = parse_matrix("0 -1 -3\n-5 0 -1g\n-5 -5 0")
+    assert is_nonsingular(a)
+    assert adjoint(a) == parse_matrix("0 -1 -2g\n-5 0 -1g\n-5 -5 0")
+
+
+def test_pseudo_inverse_quasi_identity_laws_at_n40():
+    a = sample("nonsingular-matrix", 40, 3, 0)
+    pinv = pseudo_inverse(a)
+    assert is_quasi_identity(mat_mul(a, pinv))
+    assert is_quasi_identity(mat_mul(pinv, a))
 
 
 def test_pseudo_inverse_identity():
