@@ -143,9 +143,9 @@ def det(a: Matrix) -> DetResult:
     return _solve(a)[0]
 
 
-def _solve(a: Matrix) -> Tuple[DetResult, Optional[tuple]]:
-    """|A| for ``det`` and ``adjoint``, plus (scale, total, w, sigma, u, v)
-    when an assignment exists: the scale, the optimum and the weights."""
+def _solve(a: Matrix, closure: bool = False) -> Tuple[DetResult, Optional[Matrix]]:
+    """|A|, plus adj(A) as the :func:`_closure` of its optimum when
+    ``closure`` is set and |A| is tangible (None otherwise)."""
     scale = math.lcm(*(e.value.denominator for r in a.entries for e in r if e.value is not None))
 
     def weight(q: Optional[Fraction]) -> Optional[int]:
@@ -160,7 +160,8 @@ def _solve(a: Matrix) -> Tuple[DetResult, Optional[tuple]]:
     ghost = tie is not None or any(a.entries[i][j].ghost for i, j in enumerate(sigma))
     total = sum(w[i][j] for i, j in enumerate(sigma))
     witnesses = frozenset({sigma} if tie is None else {sigma, tie})
-    return DetResult(Scalar(Fraction(total, scale), ghost), witnesses), (scale, total, w, sigma, u, v)
+    adj = _closure(a, scale, total, w, sigma, u, v) if closure and not ghost else None
+    return DetResult(Scalar(Fraction(total, scale), ghost), witnesses), adj
 
 
 def _assignment(
@@ -269,11 +270,11 @@ def adjoint(a: Matrix) -> Matrix:
     nonsingular A, the minor grid otherwise."""
     if not a.is_square:
         raise ShapeError("adjoint of a non-square matrix")
-    d, solved = _solve(a)
-    return _closure(a, solved) if d.value.is_tangible else minor_grid(a, det)
+    _, adj = _solve(a, closure=True)
+    return minor_grid(a, det) if adj is None else adj
 
 
-def _closure(a: Matrix, solved: tuple) -> Matrix:
+def _closure(a: Matrix, scale: int, total: int, w: list, sigma: tuple, u: list, v: list) -> Matrix:
     """The adjoint of a nonsingular A: an optimal permutation of minor (row
     j, column i deleted) leaves the unique optimum sigma only along a path
     owner(i) -> ... -> j over edges r -> owner(c), one per finite (r, c) off
@@ -281,7 +282,6 @@ def _closure(a: Matrix, solved: tuple) -> Matrix:
     than zero, so best walks are best simple paths (Butkovic, Max-linear
     Systems, 2010, 1.6): one Floyd-Warshall pass over (cost, ghost) labels,
     summed as in the semiring (the cheaper wins, a tie is ghost)."""
-    scale, total, w, sigma, u, v = solved
     n, inf = a.rows, math.inf
     owner = {c: r for r, c in enumerate(sigma)}
     cost = [[inf] * n for _ in range(n)]
@@ -318,11 +318,11 @@ def pseudo_inverse(a: Matrix) -> Matrix:
     """A^nabla = adj(A) / |A|; defined only for nonsingular A."""
     if not a.is_square:
         raise DomainError("pseudo-inverse of a non-square matrix")
-    d, solved = _solve(a)
-    if not d.value.is_tangible:
+    d, adj = _solve(a, closure=True)
+    if adj is None:
         raise DomainError(f"singular matrix: |A| = {d.value}")
     dinv = d.value.inv()
-    return Matrix(tuple(tuple(dinv * e for e in r) for r in _closure(a, solved).entries))
+    return Matrix(tuple(tuple(dinv * e for e in r) for r in adj.entries))
 
 
 def quasi_identities(a: Matrix) -> Tuple[Matrix, Matrix]:
