@@ -2,15 +2,18 @@
 
 Evaluation is B(v, w) = v . (G w), one ``scalars.dot`` after one
 matrix-vector product; the semiring is distributive, so the value is that
-of the strict expansion sum v_i g_ij w_j.  On top of it sit the pair
-classifications (orthogonality, compatibility, Cauchy-Schwartz, corner
+of the strict expansion sum v_i g_ij w_j.  ``evaluate`` is the one
+single-pairing call: every set of pairings among several vectors, for the
+pair classifications (orthogonality, compatibility, Cauchy-Schwartz, corner
 singularity), the Gram-determinant dependence test, the orthogonalization
-step and its iterated procedure, the rank-2 g-isotropic strip, and the
-anisotropic/alternate decomposition.
+step and its iterated procedure, the rank-2 g-isotropic strip and the
+anisotropic/alternate decomposition, comes from one ``gram_of`` grid.
 
 Every call here is deterministic and does only what its docstring says:
-no sampling and no self-checks.  The suites in ``supertrop.oracle`` re-check
-strips and sample alternate spans.
+no sampling and no self-checks.  Each public call checks its preconditions
+once; inner orthogonalization steps re-check only the base's orthogonality,
+which their grid gives for free.  The suites in ``supertrop.oracle``
+re-check strips and sample alternate spans.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ def evaluate(form: BilinearForm, v: Vector, w: Vector) -> Scalar:
 
 
 def gram_of(form: BilinearForm, vs: Sequence[Vector]) -> Matrix:
-    """The k x k grid [<v_i, v_j>], applying G to each vector once."""
+    """The k x k grid [<v_i, v_j>] of k >= 1 vectors, applying G once to each."""
+    if not vs:
+        raise ShapeError("Gram grid of an empty vector list")
     if any(v.dim != form.dim for v in vs):
         raise ShapeError("vector dimension does not match the form")
     gws = [form.gram.apply(w) for w in vs]
@@ -141,11 +146,12 @@ def _corner_singular(a11: Scalar, a12: Scalar, a21: Scalar, a22: Scalar) -> bool
 
 
 def pair_class(form: BilinearForm, v: Vector, w: Vector) -> PairClass:
-    a11 = evaluate(form, v, v)
-    a12 = evaluate(form, v, w)
-    a21 = evaluate(form, w, v)
-    a22 = evaluate(form, w, w)
+    return _pair(gram_of(form, [v, w]), 0, 1)
 
+
+def _pair(g: Matrix, i: int, j: int) -> PairClass:
+    """The classification of the pair (v_i, v_j) of a Gram grid [<v_a, v_b>]."""
+    a11, a12, a21, a22 = g[i, i], g[i, j], g[j, i], g[j, j]
     diag = a11 + a22
     cross = a12 + a21
     compatible = diag.nu_cmp(cross) >= 0
@@ -183,15 +189,14 @@ def radical_member(
 def gram_dependent(form: BilinearForm, vs: Sequence[Vector]) -> bool:
     """Ghost Gram determinant; with a nondegenerate span this certifies
     tropical dependence of the vectors."""
-    for s in vs:
-        if radical_member(form, list(vs), s):
-            warnings.warn(
-                "span is degenerate: a spanner lies in the radical; "
-                "the dependence conclusion needs nondegeneracy",
-                stacklevel=2,
-            )
-            break
-    return det(gram_of(form, vs)).value.in_ghost_ideal
+    g = gram_of(form, vs)
+    if any(all(e.in_ghost_ideal for e in row) for row in g.entries):
+        warnings.warn(
+            "span is degenerate: a spanner lies in the radical; "
+            "the dependence conclusion needs nondegeneracy",
+            stacklevel=2,
+        )
+    return det(g).value.in_ghost_ideal
 
 
 # -- Gram-Schmidt ----------------------------------------------------------
@@ -204,13 +209,6 @@ class GSResult:
     dominant: frozenset
 
 
-def _check_orthogonal_set(form: BilinearForm, base: Sequence[Vector]) -> None:
-    for i, bi in enumerate(base):
-        for j, bj in enumerate(base):
-            if i != j and not evaluate(form, bi, bj).in_ghost_ideal:
-                raise PreconditionError("base is not pairwise g-orthogonal")
-
-
 def gs_step(form: BilinearForm, base: Sequence[Vector], v: Vector) -> GSResult:
     """One orthogonalization step against a g-orthogonal set with tangible
     self-pairings: corrected = v + sum_j (<v,b_j>/beta_j) b_j is
@@ -218,27 +216,36 @@ def gs_step(form: BilinearForm, base: Sequence[Vector], v: Vector) -> GSResult:
     if v.dim != form.dim:
         raise ShapeError("vector dimension does not match the form")
     _require_symmetric(form)
-    _check_orthogonal_set(form, base)
+    return _gs_step(form, base, v)
+
+
+def _gs_step(
+    form: BilinearForm, base: Sequence[Vector], v: Vector, g: Optional[Matrix] = None
+) -> GSResult:
+    """gs_step past its checks of v and symmetry; g is gram_of(form, [*base, v])."""
+    if not base:
+        projected = Vector(tuple(ZERO for _ in range(v.dim)))
+        return GSResult(projected, v, frozenset())
+    g = gram_of(form, [*base, v]) if g is None else g
+    k = len(base)
+    if any(i != j and not g[i, j].in_ghost_ideal for i in range(k) for j in range(k)):
+        raise PreconditionError("base is not pairwise g-orthogonal")
     betas = []
-    for b in base:
-        q = evaluate(form, b, b)
+    for j in range(k):
+        q = g[j, j]
         if not q.is_tangible:
             raise PreconditionError(
                 f"base self-pairing {q} is not tangible (isotropic or zero)"
             )
         betas.append(q.tangible_lift())
 
-    if not base:
-        projected = Vector(tuple(ZERO for _ in range(v.dim)))
-        return GSResult(projected, v, frozenset())
-
-    coeffs = [evaluate(form, v, b) * beta.inv() for b, beta in zip(base, betas)]
+    coeffs = [g[k, j] * beta.inv() for j, beta in enumerate(betas)]
     projected = lin_comb(coeffs, list(base))
     corrected = v + projected
 
     terms = []
-    for b, beta in zip(base, betas):
-        s = evaluate(form, v, b) + evaluate(form, b, v)
+    for j, beta in enumerate(betas):
+        s = g[k, j] + g[j, k]
         terms.append(s.power(2) * beta.inv() if not s.is_zero else ZERO)
     top = terms[0]
     for t in terms[1:]:
@@ -262,11 +269,8 @@ def gram_schmidt(
     accepted: List[Vector] = []
     leftover: List[Vector] = []
     for v in vs:
-        corrected = gs_step(form, accepted, v).corrected
-        q = evaluate(form, corrected, corrected)
-        if q.is_tangible and all(
-            pair_class(form, corrected, b).cauchy_schwartz for b in accepted
-        ):
+        corrected = _gs_step(form, accepted, v).corrected
+        if _accepts(form, corrected, accepted):
             accepted.append(normalize(form, corrected))
         else:
             leftover.append(v)
@@ -303,20 +307,16 @@ class StripResult:
         return {"kind": "empty"}
 
 
-def isotropic_strip(
-    form: BilinearForm, v1: Vector, v2: Vector
-) -> StripResult:
+def isotropic_strip(form: BilinearForm, v1: Vector, v2: Vector) -> StripResult:
     """Solve for the tangible beta making v1 + beta*v2 g-isotropic in the
     plane spanned by the pair; the pair is ordered internally so the first
     self-pairing is nu-smaller."""
     _require_symmetric(form)
-    a11 = evaluate(form, v1, v1)
-    a22 = evaluate(form, v2, v2)
-    alpha = evaluate(form, v1, v2) + evaluate(form, v2, v1)
+    g = gram_of(form, [v1, v2])
+    a11, a22, alpha = g[0, 0], g[1, 1], g[0, 1] + g[1, 0]
 
     swapped = a11.nu_cmp(a22) > 0
     if swapped:
-        v1, v2 = v2, v1
         a11, a22 = a22, a11
 
     if a22.is_zero:
@@ -342,19 +342,16 @@ def isotropic_strip(
 
 
 def _accepts(form: BilinearForm, c: Vector, aniso: Sequence[Vector]) -> bool:
-    return evaluate(form, c, c).is_tangible and all(
-        pair_class(form, c, b).cauchy_schwartz for b in aniso
-    )
+    """<c, c> is tangible and c is Cauchy-Schwartz against all of aniso."""
+    g = gram_of(form, [*aniso, c])
+    k = len(aniso)
+    return g[k, k].is_tangible and all(_pair(g, k, j).cauchy_schwartz for j in range(k))
 
 
-def _rescue_scale(
-    form: BilinearForm, v: Vector, w: Vector
-) -> Scalar:
-    """A tangible beta large enough that beta*w + v forms a corner-singular,
-    Cauchy-Schwartz pair with w (rank-2 analysis, large-beta regime)."""
-    a11 = evaluate(form, v, v)
-    a22 = evaluate(form, w, w)
-    alpha = evaluate(form, v, w) + evaluate(form, w, v)
+def _rescue_scale(g: Matrix, i: int, j: int) -> Scalar:
+    """A tangible beta, read off the Gram grid g, making beta*v_j + v_i a
+    corner-singular, Cauchy-Schwartz pair with v_j (rank-2, large beta)."""
+    a11, a22, alpha = g[i, i], g[j, j], g[i, j] + g[j, i]
     threshold = ONE
     if not alpha.is_zero:
         threshold = threshold + alpha * a22.tangible_lift().inv()
@@ -387,25 +384,25 @@ def decompose(
         grew = False
         deferred: List[Vector] = []
         for v in pending:
-            corrected = gs_step(form, aniso, v).corrected
+            # One grid serves the step and every rescue test against v.
+            g = gram_of(form, [*aniso, v])
+            k = len(aniso)
+            corrected = _gs_step(form, aniso, v, g).corrected
             if _accepts(form, corrected, aniso):
                 aniso.append(corrected)
                 grew = True
                 continue
-            rescued = False
-            for w in aniso:
-                if not pair_class(form, w, v).cauchy_schwartz:
+            for j, w in enumerate(aniso):
+                if not _pair(g, j, k).cauchy_schwartz:
                     continue
-                beta = _rescue_scale(form, v, w)
-                candidate = w.scale(beta) + v
-                c2 = gs_step(form, aniso, candidate).corrected
+                candidate = w.scale(_rescue_scale(g, k, j)) + v
+                c2 = _gs_step(form, aniso, candidate).corrected
                 if _accepts(form, c2, aniso):
                     aniso.append(c2)
-                    rescued = True
                     grew = True
                     break
-            if not rescued:
+            else:
                 deferred.append(v)
         pending = deferred
-    alternate = [gs_step(form, aniso, v).corrected for v in pending]
+    alternate = [_gs_step(form, aniso, v).corrected for v in pending]
     return aniso, alternate

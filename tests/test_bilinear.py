@@ -1,5 +1,6 @@
 """Bilinear forms: evaluation, classification, Gram-Schmidt, strip, decompose."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,8 @@ from supertrop import (
     radical_member,
     vector,
 )
+from supertrop.bilinear import GSResult, PairClass, StripResult, _corner_singular
+from supertrop.scalars import Vector, lin_comb, random_scalar
 
 T = Scalar.tangible
 G = Scalar.ghost_of
@@ -76,6 +79,13 @@ def test_gram_of_frozen():
     assert gram_of(IDENTITY, [vector(0, 0), vector(1, "-inf")]) == parse_matrix(
         "0g 1\n1 2"
     )
+
+
+def test_gram_of_rejects_an_empty_vector_list():
+    with pytest.raises(ShapeError, match="empty vector list"):
+        gram_of(IDENTITY, [])
+    with pytest.raises(ShapeError, match="empty vector list"):
+        gram_dependent(IDENTITY, [])
 
 
 # -- vector classification -------------------------------------------------
@@ -205,6 +215,19 @@ def test_gs_step_rejects_isotropic_base():
         gs_step(HYPER, [E1], E2)
 
 
+def test_gs_step_rejects_non_orthogonal_base():
+    # Both self-pairings are tangible (0 and 2); <e1, (0, 1)> = 0 is not.
+    with pytest.raises(PreconditionError, match="base is not pairwise g-orthogonal"):
+        gs_step(IDENTITY, [E1, vector(0, 1)], E2)
+
+
+def test_gs_step_orthogonality_error_wins_over_self_pairing():
+    # <(1, 1), (1, 1)> = 2g is not tangible, and <(1, 1), e1> = 1 is not
+    # ghost; the orthogonality test runs first.
+    with pytest.raises(PreconditionError, match="base is not pairwise g-orthogonal"):
+        gs_step(IDENTITY, [vector(1, 1), E1], E2)
+
+
 def test_gram_schmidt_standard_base():
     accepted, leftover = gram_schmidt(IDENTITY, [E1, E2])
     assert accepted == [E1, E2]
@@ -307,3 +330,155 @@ def test_decompose_postconditions_sampled():
         for y in aniso:
             assert evaluate(form, x, y).in_ghost_ideal
             assert evaluate(form, y, x).in_ghost_ideal
+
+
+# -- grid-read pairings against four-evaluate references --------------------
+#
+# The references below read every pairing by its own ``evaluate`` call, as
+# the library did before it read them from one ``gram_of`` grid.
+
+
+def ref_pair_class(form, v, w):
+    a11 = evaluate(form, v, v)
+    a12 = evaluate(form, v, w)
+    a21 = evaluate(form, w, v)
+    a22 = evaluate(form, w, w)
+    diag, cross = a11 + a22, a12 + a21
+    compatible = diag.nu_cmp(cross) >= 0
+    prod, sq = a11 * a22, a12 * a12 + a21 * a21
+    return PairClass(
+        left_g_orthogonal=a12.in_ghost_ideal,
+        right_g_orthogonal=a21.in_ghost_ideal,
+        compatible=compatible,
+        strictly_compatible=compatible and (a11.nu_match(a22) or diag.nu_cmp(cross) > 0),
+        weakly_cauchy_schwartz=prod.nu_cmp(sq) >= 0,
+        cauchy_schwartz=prod.nu_cmp(sq) > 0,
+        corner_singular=_corner_singular(a11, a12, a21, a22),
+    )
+
+
+def ref_isotropic_strip(form, v1, v2):
+    if not is_supertropically_symmetric(form):
+        raise PreconditionError("form is not supertropically symmetric")
+    a11 = evaluate(form, v1, v1)
+    a22 = evaluate(form, v2, v2)
+    alpha = evaluate(form, v1, v2) + evaluate(form, v2, v1)
+    swapped = a11.nu_cmp(a22) > 0
+    if swapped:
+        a11, a22 = a22, a11
+    if a22.is_zero:
+        return StripResult("interval", swapped=swapped)
+    if not alpha.is_zero and (a11.is_zero or 2 * alpha.value > a11.value + a22.value):
+        lo = None if a11.is_zero else a11.value - alpha.value
+        return StripResult("interval", lo=lo, hi=alpha.value - a22.value, swapped=swapped)
+    if not a11.is_zero:
+        return StripResult("point", at=(a11.value - a22.value) / 2, swapped=swapped)
+    if a22.is_ghost:
+        return StripResult("interval", swapped=swapped)
+    return StripResult("empty", swapped=swapped)
+
+
+def ref_gs_step(form, base, v):
+    if v.dim != form.dim:
+        raise ShapeError("vector dimension does not match the form")
+    if not is_supertropically_symmetric(form):
+        raise PreconditionError("form is not supertropically symmetric")
+    for i, bi in enumerate(base):
+        for j, bj in enumerate(base):
+            if i != j and not evaluate(form, bi, bj).in_ghost_ideal:
+                raise PreconditionError("base is not pairwise g-orthogonal")
+    betas = []
+    for b in base:
+        q = evaluate(form, b, b)
+        if not q.is_tangible:
+            raise PreconditionError(f"base self-pairing {q} is not tangible (isotropic or zero)")
+        betas.append(q.tangible_lift())
+    if not base:
+        return GSResult(Vector((ZERO,) * v.dim), v, frozenset())
+    coeffs = [evaluate(form, v, b) * beta.inv() for b, beta in zip(base, betas)]
+    projected = lin_comb(coeffs, list(base))
+    terms = []
+    for b, beta in zip(base, betas):
+        s = evaluate(form, v, b) + evaluate(form, b, v)
+        terms.append(s.power(2) * beta.inv() if not s.is_zero else ZERO)
+    top = terms[0]
+    for t in terms[1:]:
+        if t.nu_cmp(top) > 0:
+            top = t
+    dominant = frozenset() if top.is_zero else frozenset(
+        j for j, t in enumerate(terms) if t.nu_match(top)
+    )
+    return GSResult(projected, v + projected, dominant)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ShapeError, PreconditionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def sample_form(rng, n, mode):
+    """A Gram matrix with ghosts and -inf: exactly symmetric ('sym'),
+    supertropically symmetric with g_ij != g_ji ('super': equal nu-values
+    of different layers, or a larger ghost partner) or arbitrary ('any')."""
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a = random_scalar(rng, 0.25, 0.2)
+            b = a
+            if i != j and mode == "super":
+                if a.is_zero or rng.random() < 0.3:
+                    nu = rng.randint(-3, 3)
+                    a, b = T(nu), G(nu)
+                else:
+                    b = G(a.value + rng.randint(1, 3))
+                if rng.random() < 0.5:
+                    a, b = b, a
+            elif i != j and mode == "any":
+                b = random_scalar(rng, 0.25, 0.2)
+            g[i][j], g[j][i] = a, b
+    return BilinearForm(Matrix.from_rows(g))
+
+
+def sample_vector(rng, n):
+    return Vector(tuple(random_scalar(rng, 0.25, 0.2) for _ in range(n)))
+
+
+STEP_ERRORS = {
+    "vector dimension does not match the form": "dimension",
+    "form is not supertropically symmetric": "symmetry",
+    "base is not pairwise g-orthogonal": "orthogonality",
+}
+
+
+def test_grid_pairings_match_four_evaluate_references():
+    reached = set()
+    steps_with_base = 0
+    for idx in range(240):
+        rng = random.Random(f"grid-pairings:{idx}")
+        n = 2 + idx % 4
+        mode = ("sym", "super", "super", "any")[(idx // 4) % 4]
+        form = sample_form(rng, n, mode)
+        if mode == "super":
+            assert form.gram != form.gram.transpose()
+        v, w, short = sample_vector(rng, n), sample_vector(rng, n), sample_vector(rng, n - 1)
+        for a, b in ((v, w), (w, v), (v, v), (v, short)):
+            assert outcome(pair_class, form, a, b) == outcome(ref_pair_class, form, a, b)
+            assert outcome(isotropic_strip, form, a, b) == outcome(ref_isotropic_strip, form, a, b)
+        vs = [sample_vector(rng, n) for _ in range(n)]
+        accepted = outcome(gram_schmidt, form, vs)
+        accepted = accepted[0] if isinstance(accepted[0], list) else []
+        units = Matrix.identity(n).columns()
+        bases = (accepted, units[: rng.randint(1, n)], vs[:2], [units[0], v])
+        for base in bases:
+            for x in (w, short):
+                got = outcome(gs_step, form, base, x)
+                assert got == outcome(ref_gs_step, form, base, x)
+                if isinstance(got, tuple):
+                    msg = got[1]
+                    reached.add("self-pairing" if msg.startswith("base self-pairing") else STEP_ERRORS[msg])
+                elif base:
+                    steps_with_base += 1
+    assert reached == {"dimension", "symmetry", "orthogonality", "self-pairing"}
+    assert steps_with_base >= 100
