@@ -12,11 +12,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import PreconditionError, ShapeError
+from .errors import DomainError, PreconditionError, ShapeError
 from .matrices import (
     Matrix,
     double_pseudo,
-    is_closed_base,
     is_nonsingular,
     mat_mul,
     pseudo_inverse,
@@ -64,13 +63,16 @@ def dual_base(a: Matrix) -> DualBase:
     quasi-identity A^{nabla nabla} A = I'_A, so eps_i(b_i) is exactly one
     and the off-diagonal evaluations are ghost.  Demands closedness; pass
     close(A) first if the base is not closed."""
-    if not is_nonsingular(a):
-        raise PreconditionError("dual base requires a nonsingular base matrix")
-    if not is_closed_base(a):
+    try:
+        pinv = pseudo_inverse(a)
+    except DomainError:  # non-square or singular
+        raise PreconditionError("dual base requires a nonsingular base matrix") from None
+    i_a = mat_mul(a, pinv)
+    if mat_mul(i_a, a) != a:
         raise PreconditionError(
             "base matrix is not closed; apply close() before taking the dual base"
         )
-    grid = double_pseudo(a)
+    grid = mat_mul(pinv, i_a)
     functionals = tuple(Functional(grid.row(i)) for i in range(a.rows))
     return DualBase(functionals, a)
 
