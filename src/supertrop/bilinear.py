@@ -9,6 +9,11 @@ singularity), the Gram-determinant dependence test, the orthogonalization
 step and its iterated procedure, the rank-2 g-isotropic strip and the
 anisotropic/alternate decomposition, comes from one ``gram_of`` grid.
 
+``gram_schmidt`` and ``decompose`` share one orthogonalization sweep:
+``gram_schmidt`` runs it once and normalizes what it accepted;
+``decompose`` repeats it over the deferred vectors until a pass accepts
+nothing.
+
 Every call here is deterministic and does only what its docstring says:
 no sampling and no self-checks.  Each public call checks its preconditions
 once; inner orthogonalization steps re-check only the base's orthogonality,
@@ -219,14 +224,14 @@ def gs_step(form: BilinearForm, base: Sequence[Vector], v: Vector) -> GSResult:
     return _gs_step(form, base, v)
 
 
-def _gs_step(
-    form: BilinearForm, base: Sequence[Vector], v: Vector, g: Optional[Matrix] = None
-) -> GSResult:
-    """gs_step past its checks of v and symmetry; g is gram_of(form, [*base, v])."""
+def _gs_step(form: BilinearForm, base: Sequence[Vector], v: Vector) -> GSResult:
+    """gs_step past its checks of v and symmetry: every pairing comes from
+    gram_of(form, [*base, v]), which also gives the base's orthogonality and
+    self-pairing checks."""
     if not base:
         projected = Vector(tuple(ZERO for _ in range(v.dim)))
         return GSResult(projected, v, frozenset())
-    g = gram_of(form, [*base, v]) if g is None else g
+    g = gram_of(form, [*base, v])
     k = len(base)
     if any(i != j and not g[i, j].in_ghost_ideal for i in range(k) for j in range(k)):
         raise PreconditionError("base is not pairwise g-orthogonal")
@@ -258,6 +263,29 @@ def _gs_step(
     return GSResult(projected, corrected, dominant)
 
 
+def _accepts(form: BilinearForm, c: Vector, aniso: Sequence[Vector]) -> bool:
+    """<c, c> is tangible and c is Cauchy-Schwartz against all of aniso."""
+    g = gram_of(form, [*aniso, c])
+    k = len(aniso)
+    return g[k, k].is_tangible and all(_pair(g, k, j).cauchy_schwartz for j in range(k))
+
+
+def _sweep(
+    form: BilinearForm, aniso: List[Vector], vs: Sequence[Vector]
+) -> List[Vector]:
+    """One orthogonalization pass in input order: each v is corrected
+    against aniso, and the correction joins aniso when ``_accepts`` takes
+    it.  Returns the rejected originals."""
+    rejected: List[Vector] = []
+    for v in vs:
+        corrected = _gs_step(form, aniso, v).corrected
+        if _accepts(form, corrected, aniso):
+            aniso.append(corrected)
+        else:
+            rejected.append(v)
+    return rejected
+
+
 def gram_schmidt(
     form: BilinearForm, vs: Sequence[Vector]
 ) -> Tuple[List[Vector], List[Vector]]:
@@ -267,14 +295,11 @@ def gram_schmidt(
     Everything else lands in the leftover list."""
     _require_symmetric(form)
     accepted: List[Vector] = []
-    leftover: List[Vector] = []
-    for v in vs:
-        corrected = _gs_step(form, accepted, v).corrected
-        if _accepts(form, corrected, accepted):
-            accepted.append(normalize(form, corrected))
-        else:
-            leftover.append(v)
-    return accepted, leftover
+    leftover = _sweep(form, accepted, vs)
+    # Rescaling a base vector by a tangible s changes neither a correction
+    # (<v,sb>/(s^2 beta) sb = <v,b>/beta b) nor a Cauchy-Schwartz test, so
+    # normalizing after the sweep gives what normalizing on acceptance would.
+    return [normalize(form, c) for c in accepted], leftover
 
 
 # -- the rank-2 g-isotropic strip -----------------------------------------
@@ -341,25 +366,6 @@ def isotropic_strip(form: BilinearForm, v1: Vector, v2: Vector) -> StripResult:
 # -- decomposition ---------------------------------------------------------
 
 
-def _accepts(form: BilinearForm, c: Vector, aniso: Sequence[Vector]) -> bool:
-    """<c, c> is tangible and c is Cauchy-Schwartz against all of aniso."""
-    g = gram_of(form, [*aniso, c])
-    k = len(aniso)
-    return g[k, k].is_tangible and all(_pair(g, k, j).cauchy_schwartz for j in range(k))
-
-
-def _rescue_scale(g: Matrix, i: int, j: int) -> Scalar:
-    """A tangible beta, read off the Gram grid g, making beta*v_j + v_i a
-    corner-singular, Cauchy-Schwartz pair with v_j (rank-2, large beta)."""
-    a11, a22, alpha = g[i, i], g[j, j], g[i, j] + g[j, i]
-    threshold = ONE
-    if not alpha.is_zero:
-        threshold = threshold + alpha * a22.tangible_lift().inv()
-        if not a11.is_zero:
-            threshold = threshold + a11 * alpha.tangible_lift().inv()
-    return Scalar.tangible(threshold.value + 1)
-
-
 def decompose(
     form: BilinearForm, base: Sequence[Vector]
 ) -> Tuple[List[Vector], List[Vector]]:
@@ -367,11 +373,12 @@ def decompose(
     g-orthogonal, g-nonisotropic, pairwise Cauchy-Schwartz set) and an
     alternate part (g-isotropic vectors, g-orthogonal to the first part).
 
-    Deterministic and order-dependent: vectors are processed in input
-    order, with a large-coefficient rescue attempt before a vector is
-    deferred.  Deferred vectors are reprocessed until the anisotropic set
-    stops growing, so the alternate vectors end up g-orthogonal to the
-    whole anisotropic part, not just to the members accepted before them.
+    Deterministic and order-dependent: the orthogonalization sweep of
+    ``gram_schmidt`` runs over the base in input order, then again over
+    the vectors it deferred, until a pass accepts nothing.  So the
+    alternate vectors, the deferred ones corrected against the final
+    anisotropic set, are g-orthogonal to the whole anisotropic part, not
+    just to the members accepted before them.
     """
     _require_symmetric(form)
     if not independent(list(base)):
@@ -379,30 +386,10 @@ def decompose(
 
     aniso: List[Vector] = []
     pending: List[Vector] = list(base)
-    grew = True
-    while grew and pending:
-        grew = False
-        deferred: List[Vector] = []
-        for v in pending:
-            # One grid serves the step and every rescue test against v.
-            g = gram_of(form, [*aniso, v])
-            k = len(aniso)
-            corrected = _gs_step(form, aniso, v, g).corrected
-            if _accepts(form, corrected, aniso):
-                aniso.append(corrected)
-                grew = True
-                continue
-            for j, w in enumerate(aniso):
-                if not _pair(g, j, k).cauchy_schwartz:
-                    continue
-                candidate = w.scale(_rescue_scale(g, k, j)) + v
-                c2 = _gs_step(form, aniso, candidate).corrected
-                if _accepts(form, c2, aniso):
-                    aniso.append(c2)
-                    grew = True
-                    break
-            else:
-                deferred.append(v)
+    while pending:
+        deferred = _sweep(form, aniso, pending)
+        if len(deferred) == len(pending):
+            break
         pending = deferred
     alternate = [_gs_step(form, aniso, v).corrected for v in pending]
     return aniso, alternate

@@ -91,19 +91,7 @@ def quasilinearity_check(
 def form_from_q(q: QuadraticForm) -> BilinearForm:
     """The canonical bilinear companion of a strictly quasilinear form:
     g_ij = sqrt(Q(e_i) Q(e_j)), built once from the base values."""
-    if q.diagonal is not None:
-        qs = list(q.diagonal)
-    else:
-        if quasilinearity_check(q) != STRICT:
-            raise PreconditionError(
-                "square-root companion needs a strictly quasilinear form"
-            )
-        if not is_supertropically_symmetric(q.form):
-            raise PreconditionError(
-                "square-root companion needs a symmetric backing form"
-            )
-        n = q.dim
-        qs = [q.form.gram[i, i] for i in range(n)]
+    qs = diagonal_from_form(q).diagonal
     half = Fraction(1, 2)
     rows = []
     for qi in qs:
@@ -122,9 +110,11 @@ def diagonal_from_form(q: QuadraticForm) -> QuadraticForm:
     if q.diagonal is not None:
         return q
     if quasilinearity_check(q) != STRICT:
-        raise PreconditionError("diagonalization needs a strict verdict")
+        raise PreconditionError("quadratic form is not strictly quasilinear")
     if not is_supertropically_symmetric(q.form):
-        raise PreconditionError("diagonalization needs a symmetric backing form")
+        raise PreconditionError(
+            "quadratic form's backing bilinear form is not supertropically symmetric"
+        )
     return QuadraticForm.from_diagonal(
         tuple(q.form.gram[i, i] for i in range(q.dim))
     )

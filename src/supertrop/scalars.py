@@ -27,8 +27,6 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, ParseError, ShapeError
 
-Rational = Fraction
-
 NU_LO = -10
 NU_HI = 10
 
@@ -49,10 +47,6 @@ class Scalar:
             raise ValueError("zero scalar carries no layer")
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "Scalar":
-        return ZERO
 
     @staticmethod
     def tangible(q) -> "Scalar":
@@ -139,12 +133,6 @@ class Scalar:
         if self.value > other.value:
             return 1
         return 0
-
-    def nu_lt(self, other: "Scalar") -> bool:
-        return self.nu_cmp(other) < 0
-
-    def nu_le(self, other: "Scalar") -> bool:
-        return self.nu_cmp(other) <= 0
 
     def nu_match(self, other: "Scalar") -> bool:
         return self.nu_cmp(other) == 0

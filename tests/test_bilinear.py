@@ -31,6 +31,8 @@ from supertrop import (
     vector,
 )
 from supertrop.bilinear import GSResult, PairClass, StripResult, _corner_singular
+from supertrop.matrices import independent
+from supertrop.oracle import sample
 from supertrop.scalars import Vector, lin_comb, random_scalar
 
 T = Scalar.tangible
@@ -482,3 +484,121 @@ def test_grid_pairings_match_four_evaluate_references():
                     steps_with_base += 1
     assert reached == {"dimension", "symmetry", "orthogonality", "self-pairing"}
     assert steps_with_base >= 100
+
+
+# -- the one orthogonalization sweep against the pre-sweep algorithms -------
+#
+# ``ref_decompose`` is ``decompose`` as it was before the shared sweep: it
+# tries a large-coefficient rescue beta*w + v (w accepted, beta nu-above
+# <v,w>/beta_w) before it defers v.  The step's coefficient on w is then
+# beta itself, so the candidate's w-part is beta*w + beta*w, a ghost; every
+# other coefficient gains beta*<w,b>/beta_b, a ghost since the accepted set
+# is g-orthogonal.  The candidate's correction is the plain one plus a
+# ghost vector, so it fails every test the plain one failed.  The reference
+# checks that lemma on each candidate and counts the candidates it tried.
+
+
+def ref_accepts(form, c, aniso):
+    return evaluate(form, c, c).is_tangible and all(
+        ref_pair_class(form, c, b).cauchy_schwartz for b in aniso
+    )
+
+
+def ref_rescue_scale(form, v, w):
+    a11, a22 = evaluate(form, v, v), evaluate(form, w, w)
+    alpha = evaluate(form, v, w) + evaluate(form, w, v)
+    threshold = ONE
+    if not alpha.is_zero:
+        threshold = threshold + alpha * a22.tangible_lift().inv()
+        if not a11.is_zero:
+            threshold = threshold + a11 * alpha.tangible_lift().inv()
+    return Scalar.tangible(threshold.value + 1)
+
+
+def ref_decompose(form, base, rescues):
+    if not is_supertropically_symmetric(form):
+        raise PreconditionError("form is not supertropically symmetric")
+    if not independent(list(base)):
+        raise PreconditionError("decompose requires a tropically independent base")
+    aniso, pending, grew = [], list(base), True
+    while grew and pending:
+        grew = False
+        deferred = []
+        for v in pending:
+            corrected = ref_gs_step(form, aniso, v).corrected
+            if ref_accepts(form, corrected, aniso):
+                aniso.append(corrected)
+                grew = True
+                continue
+            for w in aniso:
+                if not ref_pair_class(form, w, v).cauchy_schwartz:
+                    continue
+                c2 = ref_gs_step(form, aniso, w.scale(ref_rescue_scale(form, v, w)) + v).corrected
+                assert c2.ghost_surpasses(corrected)
+                taken = ref_accepts(form, c2, aniso)
+                rescues.append(taken)
+                if taken:
+                    aniso.append(c2)
+                    grew = True
+                    break
+            else:
+                deferred.append(v)
+        pending = deferred
+    return aniso, [ref_gs_step(form, aniso, v).corrected for v in pending]
+
+
+def ref_gram_schmidt(form, vs):
+    if not is_supertropically_symmetric(form):
+        raise PreconditionError("form is not supertropically symmetric")
+    accepted, leftover = [], []
+    for v in vs:
+        corrected = ref_gs_step(form, accepted, v).corrected
+        if ref_accepts(form, corrected, accepted):
+            accepted.append(normalize(form, corrected))
+        else:
+            leftover.append(v)
+    return accepted, leftover
+
+
+def test_sweep_matches_pre_sweep_gram_schmidt_and_decompose():
+    rescues = []
+    reached = {"decompose": set(), "gram_schmidt": set()}
+    successes = {"decompose": 0, "gram_schmidt": 0}
+
+    def tally(name, got):
+        if isinstance(got[0], list):
+            successes[name] += 1
+        else:
+            reached[name].add(got[1])
+
+    for idx in range(240):
+        rng = random.Random(f"sweep:{idx}")
+        n = 2 + idx % 4
+        mode = ("sym", "super", "super", "any")[(idx // 4) % 4]
+        form = sample_form(rng, n, mode)
+        if idx % 2 == 0:
+            base = Matrix.identity(n).columns()
+        else:
+            base = sample("nonsingular-matrix", n, 0, idx).columns()
+        if idx % 16 == 5:
+            base = [base[0], base[0].scale(T(1))]
+        got = outcome(decompose, form, base)
+        assert got == outcome(ref_decompose, form, base, rescues)
+        tally("decompose", got)
+        vs = [sample_vector(rng, n) for _ in range(n)] + list(base)
+        if idx % 8 == 1:
+            vs.insert(rng.randint(0, n), sample_vector(rng, n - 1))
+        got = outcome(gram_schmidt, form, vs)
+        assert got == outcome(ref_gram_schmidt, form, vs)
+        tally("gram_schmidt", got)
+    assert len(rescues) >= 100
+    assert not any(rescues)
+    assert min(successes.values()) >= 100
+    assert reached["decompose"] == {
+        "form is not supertropically symmetric",
+        "decompose requires a tropically independent base",
+    }
+    assert reached["gram_schmidt"] == {
+        "form is not supertropically symmetric",
+        "vector dimension does not match the form",
+    }

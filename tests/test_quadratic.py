@@ -102,6 +102,8 @@ def test_diagonal_from_form_rejects_non_strict():
     q = QuadraticForm.from_form(BilinearForm(parse_matrix("-inf 0\n-inf -inf")))
     with pytest.raises(PreconditionError):
         diagonal_from_form(q)
+    with pytest.raises(PreconditionError):
+        form_from_q(q)
 
 
 # -- hyperbolic planes -----------------------------------------------------
