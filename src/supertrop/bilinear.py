@@ -3,24 +3,21 @@
 Evaluation is B(v, w) = v . (G w), one ``scalars.dot`` after one
 matrix-vector product; the semiring is distributive, so the value is that
 of the strict expansion sum v_i g_ij w_j.  ``evaluate`` is the one
-single-pairing call: every set of pairings among several vectors, for the
-pair classifications (orthogonality, compatibility, Cauchy-Schwartz, corner
-singularity), the Gram-determinant dependence test, the orthogonalization
-step and its iterated procedure, the rank-2 g-isotropic strip and the
-anisotropic/alternate decomposition, comes from one ``gram_of`` grid.
+single-pairing call; the pair classification, the Gram-determinant
+dependence test, ``gs_step`` and the rank-2 g-isotropic strip read every
+pairing among their vectors from one ``gram_of`` grid.
 
-``gram_schmidt`` and ``decompose`` share one orthogonalization sweep:
-``gram_schmidt`` runs it once and normalizes what it accepted;
-``decompose`` repeats it over the deferred vectors until a pass accepts
-nothing.
+``gram_schmidt`` and ``decompose`` share one orthogonalization sweep,
+whose state keeps (b, G b, <b,b>) for each accepted b, so G is applied
+once per processed vector.  ``gram_schmidt`` runs it once and normalizes
+what it accepted; ``decompose`` repeats it over the deferred vectors until
+a pass accepts nothing.
 
 Every call here is deterministic and does only what its docstring says:
 no sampling and no self-checks.  Each public call checks its preconditions
-once; inner orthogonalization steps re-check only the base's orthogonality,
-which their grid gives for free.  The suites in ``supertrop.oracle``
-re-check strips and sample alternate spans.
+once, and the sweep re-checks nothing its invariant guarantees.  The
+suites in ``supertrop.oracle`` re-check strips and sample alternate spans.
 """
-
 from __future__ import annotations
 
 import warnings
@@ -61,12 +58,16 @@ def evaluate(form: BilinearForm, v: Vector, w: Vector) -> Scalar:
     return dot(v, form.gram.apply(w))
 
 
+def _require_dims(form: BilinearForm, vs: Sequence[Vector]) -> None:
+    if any(v.dim != form.dim for v in vs):
+        raise ShapeError("vector dimension does not match the form")
+
+
 def gram_of(form: BilinearForm, vs: Sequence[Vector]) -> Matrix:
     """The k x k grid [<v_i, v_j>] of k >= 1 vectors, applying G once to each."""
     if not vs:
         raise ShapeError("Gram grid of an empty vector list")
-    if any(v.dim != form.dim for v in vs):
-        raise ShapeError("vector dimension does not match the form")
+    _require_dims(form, vs)
     gws = [form.gram.apply(w) for w in vs]
     return Matrix(tuple(tuple(dot(v, gw) for gw in gws) for v in vs))
 
@@ -151,12 +152,12 @@ def _corner_singular(a11: Scalar, a12: Scalar, a21: Scalar, a22: Scalar) -> bool
 
 
 def pair_class(form: BilinearForm, v: Vector, w: Vector) -> PairClass:
-    return _pair(gram_of(form, [v, w]), 0, 1)
+    g = gram_of(form, [v, w])
+    return _pair(g[0, 0], g[0, 1], g[1, 0], g[1, 1])
 
 
-def _pair(g: Matrix, i: int, j: int) -> PairClass:
-    """The classification of the pair (v_i, v_j) of a Gram grid [<v_a, v_b>]."""
-    a11, a12, a21, a22 = g[i, i], g[i, j], g[j, i], g[j, j]
+def _pair(a11: Scalar, a12: Scalar, a21: Scalar, a22: Scalar) -> PairClass:
+    """The classification of a pair (v, w) from <v,v>, <v,w>, <w,v>, <w,w>."""
     diag = a11 + a22
     cross = a12 + a21
     compatible = diag.nu_cmp(cross) >= 0
@@ -217,17 +218,11 @@ class GSResult:
 def gs_step(form: BilinearForm, base: Sequence[Vector], v: Vector) -> GSResult:
     """One orthogonalization step against a g-orthogonal set with tangible
     self-pairings: corrected = v + sum_j (<v,b_j>/beta_j) b_j is
-    g-orthogonal to every base vector."""
-    if v.dim != form.dim:
-        raise ShapeError("vector dimension does not match the form")
-    _require_symmetric(form)
-    return _gs_step(form, base, v)
-
-
-def _gs_step(form: BilinearForm, base: Sequence[Vector], v: Vector) -> GSResult:
-    """gs_step past its checks of v and symmetry: every pairing comes from
+    g-orthogonal to every base vector.  Every pairing comes from
     gram_of(form, [*base, v]), which also gives the base's orthogonality and
     self-pairing checks."""
+    _require_dims(form, [v])
+    _require_symmetric(form)
     if not base:
         projected = Vector(tuple(ZERO for _ in range(v.dim)))
         return GSResult(projected, v, frozenset())
@@ -248,39 +243,41 @@ def _gs_step(form: BilinearForm, base: Sequence[Vector], v: Vector) -> GSResult:
     projected = lin_comb(coeffs, list(base))
     corrected = v + projected
 
-    terms = []
-    for j, beta in enumerate(betas):
-        s = g[k, j] + g[j, k]
-        terms.append(s.power(2) * beta.inv() if not s.is_zero else ZERO)
-    top = terms[0]
-    for t in terms[1:]:
-        if t.nu_cmp(top) > 0:
-            top = t
-    if top.is_zero:
-        dominant = frozenset()
-    else:
-        dominant = frozenset(j for j, t in enumerate(terms) if t.nu_match(top))
+    terms = [(g[k, j] + g[j, k]).power(2) * beta.inv() for j, beta in enumerate(betas)]
+    top = sum(terms, ZERO)  # a sum's nu-value is the largest one
+    dominant = frozenset(j for j, t in enumerate(terms) if not t.is_zero and t.nu_match(top))
     return GSResult(projected, corrected, dominant)
 
 
-def _accepts(form: BilinearForm, c: Vector, aniso: Sequence[Vector]) -> bool:
-    """<c, c> is tangible and c is Cauchy-Schwartz against all of aniso."""
-    g = gram_of(form, [*aniso, c])
-    k = len(aniso)
-    return g[k, k].is_tangible and all(_pair(g, k, j).cauchy_schwartz for j in range(k))
+def _correct(state: list, v: Vector) -> Vector:
+    """gs_step's correction of v against the sweep state."""
+    if not state:
+        return v
+    coeffs = [dot(v, gb) * beta.inv() for _, gb, beta in state]
+    return v + lin_comb(coeffs, [b for b, _, _ in state])
 
 
-def _sweep(
-    form: BilinearForm, aniso: List[Vector], vs: Sequence[Vector]
-) -> List[Vector]:
-    """One orthogonalization pass in input order: each v is corrected
-    against aniso, and the correction joins aniso when ``_accepts`` takes
-    it.  Returns the rejected originals."""
+def _sweep(form: BilinearForm, state: list, vs: Sequence[Vector]) -> List[Vector]:
+    """One orthogonalization pass in input order over a state of
+    (b, G b, <b,b>) triples, applying G once per vector: v is corrected
+    against the state, and its correction c joins it when <c,c> is tangible
+    and c is Cauchy-Schwartz against every member.  Returns the rejected
+    originals.
+
+    So every <b,b> in the state is tangible, and no member needs a re-check
+    of its g-orthogonality: for a member b, <c,b> = <v,b> + <v,b> + (ghost-
+    ideal terms from the other members) and <b,c> = <b,v> + <v,b> + (ghost-
+    ideal terms), which the caller's symmetry check puts in the ghost ideal."""
     rejected: List[Vector] = []
     for v in vs:
-        corrected = _gs_step(form, aniso, v).corrected
-        if _accepts(form, corrected, aniso):
-            aniso.append(corrected)
+        c = _correct(state, v)
+        gc = form.gram.apply(c)
+        cc = dot(c, gc)
+        if cc.is_tangible and all(
+            _pair(cc, dot(c, gb), dot(b, gc), beta).cauchy_schwartz
+            for b, gb, beta in state
+        ):
+            state.append((c, gc, cc))
         else:
             rejected.append(v)
     return rejected
@@ -294,12 +291,13 @@ def gram_schmidt(
     against everything accepted so far; accepted vectors are normalized.
     Everything else lands in the leftover list."""
     _require_symmetric(form)
-    accepted: List[Vector] = []
-    leftover = _sweep(form, accepted, vs)
+    _require_dims(form, vs)
+    state: list = []
+    leftover = _sweep(form, state, vs)
     # Rescaling a base vector by a tangible s changes neither a correction
     # (<v,sb>/(s^2 beta) sb = <v,b>/beta b) nor a Cauchy-Schwartz test, so
     # normalizing after the sweep gives what normalizing on acceptance would.
-    return [normalize(form, c) for c in accepted], leftover
+    return [c.scale(cc.power(Fraction(1, 2)).inv()) for c, _, cc in state], leftover
 
 
 # -- the rank-2 g-isotropic strip -----------------------------------------
@@ -384,12 +382,12 @@ def decompose(
     if not independent(list(base)):
         raise PreconditionError("decompose requires a tropically independent base")
 
-    aniso: List[Vector] = []
+    _require_dims(form, base)
+    state: list = []
     pending: List[Vector] = list(base)
     while pending:
-        deferred = _sweep(form, aniso, pending)
+        deferred = _sweep(form, state, pending)
         if len(deferred) == len(pending):
             break
         pending = deferred
-    alternate = [_gs_step(form, aniso, v).corrected for v in pending]
-    return aniso, alternate
+    return [c for c, _, _ in state], [_correct(state, v) for v in pending]

@@ -33,9 +33,9 @@ class Matrix:
         rows = tuple(tuple(r) for r in self.entries)
         object.__setattr__(self, "entries", rows)
         if not rows or not rows[0]:
-            raise ValueError("matrices must have positive dimensions")
+            raise ShapeError("matrices must have positive dimensions")
         if any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
+            raise ShapeError("ragged rows")
 
     @property
     def rows(self) -> int:

@@ -34,7 +34,7 @@ class QuadraticForm:
 
     def __post_init__(self) -> None:
         if (self.form is None) == (self.diagonal is None):
-            raise ValueError("exactly one representation must be given")
+            raise DomainError("exactly one representation must be given")
         if self.diagonal is not None:
             object.__setattr__(self, "diagonal", tuple(self.diagonal))
 

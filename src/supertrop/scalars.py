@@ -44,7 +44,7 @@ class Scalar:
 
     def __post_init__(self) -> None:
         if self.value is None and self.ghost:
-            raise ValueError("zero scalar carries no layer")
+            raise DomainError("zero scalar carries no layer")
 
     # -- constructors ------------------------------------------------------
 
@@ -246,7 +246,7 @@ class Vector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
-            raise ValueError("vectors must have positive dimension")
+            raise ShapeError("vectors must have positive dimension")
 
     @property
     def dim(self) -> int:

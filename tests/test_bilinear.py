@@ -319,6 +319,12 @@ def test_decompose_requires_independent_base():
         decompose(IDENTITY, [vector(0, 0), vector(1, 1)])
 
 
+def test_decompose_rejects_a_base_shorter_than_the_form():
+    form = BilinearForm(Matrix.identity(3))
+    with pytest.raises(ShapeError, match="vector dimension does not match the form"):
+        decompose(form, [E1, E2])
+
+
 def test_decompose_postconditions_sampled():
     form = BilinearForm(parse_matrix("0 -3 -inf\n-3 1 -2\n-inf -2 0g"))
     base = Matrix.identity(3).columns()
@@ -602,3 +608,22 @@ def test_sweep_matches_pre_sweep_gram_schmidt_and_decompose():
         "form is not supertropically symmetric",
         "vector dimension does not match the form",
     }
+
+
+def test_sweep_applies_the_gram_once_per_vector(monkeypatch):
+    calls = []
+    apply = Matrix.apply
+    monkeypatch.setattr(Matrix, "apply", lambda g, v: calls.append(v) or apply(g, v))
+    for n in range(2, 7):
+        rng = random.Random(f"applies:{n}")
+        form = sample_form(rng, n, "sym")
+        vs = [sample_vector(rng, n) for _ in range(n + 2)]
+        calls.clear()
+        gram_schmidt(form, vs)
+        assert len(calls) <= len(vs)
+        diagonal = [[T(i) if i == j else ZERO for j in range(n)] for i in range(n)]
+        calls.clear()
+        aniso, alternate = decompose(
+            BilinearForm(Matrix.from_rows(diagonal)), Matrix.identity(n).columns()
+        )
+        assert (len(aniso), alternate, len(calls)) == (n, [], n)

@@ -14,6 +14,7 @@ from supertrop import (
     ONE,
     ParseError,
     Scalar,
+    ShapeError,
     ZERO,
     adjoint,
     close,
@@ -37,6 +38,19 @@ from supertrop.oracle import brute_force_det, sample
 A = parse_matrix("0 1\n2 0")
 T = Scalar.tangible
 G = Scalar.ghost_of
+
+
+# -- constructors ----------------------------------------------------------
+
+
+def test_empty_matrix_raises_shape_error():
+    with pytest.raises(ShapeError, match="matrices must have positive dimensions"):
+        Matrix(())
+
+
+def test_ragged_matrix_raises_shape_error():
+    with pytest.raises(ShapeError, match="ragged rows"):
+        Matrix(((T(0), T(1)), (T(2),)))
 
 
 # -- multiplication --------------------------------------------------------

@@ -25,6 +25,16 @@ G = Scalar.ghost_of
 E1, E2 = Matrix.identity(2).columns()
 
 
+# -- construction ----------------------------------------------------------
+
+
+def test_neither_or_both_representations_raise_domain_error():
+    form = hyperbolic_plane(T(0))
+    for kwargs in ({}, {"form": form, "diagonal": (T(0), T(2))}):
+        with pytest.raises(DomainError, match="exactly one representation must be given"):
+            QuadraticForm(**kwargs)
+
+
 # -- evaluation ------------------------------------------------------------
 
 

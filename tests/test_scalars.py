@@ -13,6 +13,7 @@ from supertrop import (
     DomainError,
     ParseError,
     Scalar,
+    ShapeError,
     Vector,
     lin_comb,
     parse_scalar,
@@ -23,6 +24,19 @@ from supertrop.scalars import NU_HI, NU_LO, random_scalar
 
 T = Scalar.tangible
 G = Scalar.ghost_of
+
+
+# -- constructors ----------------------------------------------------------
+
+
+def test_zero_with_a_layer_raises_domain_error():
+    with pytest.raises(DomainError, match="zero scalar carries no layer"):
+        Scalar(None, True)
+
+
+def test_empty_vector_raises_shape_error():
+    with pytest.raises(ShapeError, match="vectors must have positive dimension"):
+        Vector(())
 
 
 # -- addition --------------------------------------------------------------
