@@ -18,6 +18,7 @@ no sampling and no self-checks.  Each public call checks its preconditions
 once, and the sweep re-checks nothing its invariant guarantees.  The
 suites in ``supertrop.oracle`` re-check strips and sample alternate spans.
 """
+
 from __future__ import annotations
 
 import warnings
@@ -264,10 +265,10 @@ def _sweep(form: BilinearForm, state: list, vs: Sequence[Vector]) -> List[Vector
     and c is Cauchy-Schwartz against every member.  Returns the rejected
     originals.
 
-    So every <b,b> in the state is tangible, and no member needs a re-check
-    of its g-orthogonality: for a member b, <c,b> = <v,b> + <v,b> + (ghost-
-    ideal terms from the other members) and <b,c> = <b,v> + <v,b> + (ghost-
-    ideal terms), which the caller's symmetry check puts in the ghost ideal."""
+    So every <b,b> in the state is tangible, and members need no re-check
+    of g-orthogonality: for a member b, <c,b> = <v,b> + <v,b> + (ghost-ideal
+    terms from the other members) and <b,c> = <b,v> + <v,b> + (ghost-ideal
+    terms), which the caller's symmetry check puts in the ghost ideal."""
     rejected: List[Vector] = []
     for v in vs:
         c = _correct(state, v)
