@@ -15,6 +15,8 @@ from typing import Optional, Tuple
 from .errors import DomainError, PreconditionError, ShapeError
 from .matrices import (
     Matrix,
+    _optimum,
+    _tangible_minor,
     double_pseudo,
     is_nonsingular,
     mat_mul,
@@ -62,19 +64,18 @@ def dual_base(a: Matrix) -> DualBase:
     row i of A^{nabla nabla}.  The evaluation grid [eps_i(b_j)] is then the
     quasi-identity A^{nabla nabla} A = I'_A, so eps_i(b_i) is exactly one
     and the off-diagonal evaluations are ghost.  Demands closedness; pass
-    close(A) first if the base is not closed."""
+    close(A) first if the base is not closed.  One solve of A gives both
+    the closedness test I_A A = A and the rows of A^{nabla nabla}."""
     try:
-        pinv = pseudo_inverse(a)
+        o = _optimum(a)
     except DomainError:  # non-square or singular
         raise PreconditionError("dual base requires a nonsingular base matrix") from None
-    i_a = mat_mul(a, pinv)
-    if mat_mul(i_a, a) != a:
+    if o.close() != a:
         raise PreconditionError(
             "base matrix is not closed; apply close() before taking the dual base"
         )
-    grid = mat_mul(pinv, i_a)
-    functionals = tuple(Functional(grid.row(i)) for i in range(a.rows))
-    return DualBase(functionals, a)
+    grid = o.pinv(ghost_off_sigma=True)
+    return DualBase(tuple(Functional(grid.row(i)) for i in range(a.rows)), a)
 
 
 def dual_eval_matrix(d: DualBase) -> Matrix:
@@ -96,7 +97,7 @@ def is_tropically_onto(m: Matrix) -> bool:
     subspace, i.e. the matrix has full rank."""
     if not m.is_square:
         raise ShapeError("tropically-onto test needs a square matrix")
-    return rank(m) == m.rows
+    return _tangible_minor(m, m.rows)
 
 
 PROVED = "proved"

@@ -3,8 +3,10 @@
 Determinants are permanents (no signs exist in the semiring).  ``det`` is
 the one engine: a maximum-weight assignment with an exact uniqueness test,
 O(n^3) and uncapped.  :func:`supertrop.oracle.brute_force_det` is its
-independent check, a full permutation expansion for n <= 8.  The adjoint of
-a nonsingular A is the closure of that assignment, also O(n^3); otherwise it
+independent check, a full permutation expansion for n <= 8.  A nonsingular
+A's one solve answers the rest: adj(A), A^nabla, I_A, I'_A, close(A) and
+A^{nabla nabla} are O(n^2) reads of its potentials and best reduced-cost
+paths (:class:`_Optimum`), with no matrix product.  A singular A's adjoint
 is the grid of n^2 minor determinants.
 """
 
@@ -67,11 +69,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(
-            tuple(
-                tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
-            )
-        )
+        return Matrix(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[Scalar]]) -> "Matrix":
@@ -93,11 +91,8 @@ class Matrix:
     def ghost_surpasses(self, other: "Matrix") -> bool:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("matrix shape mismatch")
-        return all(
-            a.ghost_surpasses(b)
-            for ra, rb in zip(self.entries, other.entries)
-            for a, b in zip(ra, rb)
-        )
+        pairs = zip(self.entries, other.entries)
+        return all(a.ghost_surpasses(b) for ra, rb in pairs for a, b in zip(ra, rb))
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in r) for r in self.entries)
@@ -143,9 +138,9 @@ def det(a: Matrix) -> DetResult:
     return _solve(a)[0]
 
 
-def _solve(a: Matrix, closure: bool = False) -> Tuple[DetResult, Optional[Matrix]]:
-    """|A|, plus adj(A) as the :func:`_closure` of its optimum when
-    ``closure`` is set and |A| is tangible (None otherwise)."""
+def _solve(a: Matrix, closure: bool = False) -> Tuple[DetResult, Optional[_Optimum]]:
+    """|A|, plus its :class:`_Optimum` when ``closure`` is set and |A| is
+    tangible (None otherwise)."""
     scale = math.lcm(*(e.value.denominator for r in a.entries for e in r if e.value is not None))
 
     def weight(q: Optional[Fraction]) -> Optional[int]:
@@ -160,8 +155,8 @@ def _solve(a: Matrix, closure: bool = False) -> Tuple[DetResult, Optional[Matrix
     ghost = tie is not None or any(a.entries[i][j].ghost for i, j in enumerate(sigma))
     total = sum(w[i][j] for i, j in enumerate(sigma))
     witnesses = frozenset({sigma} if tie is None else {sigma, tie})
-    adj = _closure(a, scale, total, w, sigma, u, v) if closure and not ghost else None
-    return DetResult(Scalar(Fraction(total, scale), ghost), witnesses), adj
+    opt = _Optimum(a, scale, total, w, sigma, u, v) if closure and not ghost else None
+    return DetResult(Scalar(Fraction(total, scale), ghost), witnesses), opt
 
 
 def _assignment(
@@ -219,17 +214,13 @@ def _assignment(
     return tuple(sigma), u, v
 
 
-def _tie(
-    w: List[List[Optional[int]]], sigma: Tuple[int, ...], u: List[int], v: List[int]
-) -> Optional[Tuple[int, ...]]:
+def _tie(w: list, sigma: Tuple[int, ...], u: List[int], v: List[int]) -> Optional[Tuple[int, ...]]:
     """A second optimal permutation, or None when sigma is the only one: a
     cycle of tight edges off sigma, rotated into sigma."""
     n = len(sigma)
     owner = {j: i for i, j in enumerate(sigma)}
-    succ = [
-        {owner[j] for j in range(n) if j != sigma[i] and w[i][j] == u[i] + v[j]}
-        for i in range(n)
-    ]
+    succ = [{owner[j] for j in range(n) if j != sigma[i] and w[i][j] == u[i] + v[j]}
+            for i in range(n)]
     # Peel off rows with no edge into the rest; every row left has one, so a
     # walk among them closes a cycle.
     alive = set(range(n))
@@ -270,44 +261,78 @@ def adjoint(a: Matrix) -> Matrix:
     nonsingular A, the minor grid otherwise."""
     if not a.is_square:
         raise ShapeError("adjoint of a non-square matrix")
-    _, adj = _solve(a, closure=True)
-    return minor_grid(a, det) if adj is None else adj
+    _, o = _solve(a, closure=True)
+    return minor_grid(a, det) if o is None else o.pinv(shift=o.total)
 
 
-def _closure(a: Matrix, scale: int, total: int, w: list, sigma: tuple, u: list, v: list) -> Matrix:
-    """The adjoint of a nonsingular A: an optimal permutation of minor (row
-    j, column i deleted) leaves the unique optimum sigma only along a path
-    owner(i) -> ... -> j over edges r -> owner(c), one per finite (r, c) off
-    sigma, of reduced cost u_r + v_c - w_rc >= 0.  Every cycle costs more
-    than zero, so best walks are best simple paths (Butkovic, Max-linear
-    Systems, 2010, 1.6): one Floyd-Warshall pass over (cost, ghost) labels,
-    summed as in the semiring (the cheaper wins, a tie is ghost)."""
-    n, inf = a.rows, math.inf
-    owner = {c: r for r, c in enumerate(sigma)}
-    cost = [[inf] * n for _ in range(n)]
-    ghost = [[False] * n for _ in range(n)]
-    for r, row in enumerate(w):
-        for c, x in enumerate(row):
-            if x is not None and c != sigma[r]:
-                cost[r][owner[c]], ghost[r][owner[c]] = u[r] + v[c] - x, a.entries[r][c].ghost
-    for k in range(n):
-        for cost_i, ghost_i in zip(cost, ghost):
-            via = cost_i[k]
-            if via == inf:
-                continue
-            for j, step in enumerate(cost[k]):
-                d = via + step
-                if d < cost_i[j]:
-                    cost_i[j], ghost_i[j] = d, ghost_i[k] or ghost[k][j]
-                elif d == cost_i[j] < inf:
-                    ghost_i[j] = True
+class _Optimum:
+    """The unique tangible optimum sigma of a nonsingular A, its potentials
+    u, v, owner(c) = the row sigma gives column c, and D(r, c) = the cheapest
+    path r -> ... -> c over edges r -> owner(c), one per finite (r, c) off
+    sigma, of reduced cost u_r + v_c - w_rc >= 0, with D(r, r) = 0.  Every
+    cycle costs more than zero, so best walks are best simple paths
+    (Butkovic, Max-linear Systems, 2010, 1.6): one Floyd-Warshall pass over
+    (cost, ghost) labels, summed as in the semiring (the cheaper wins, a tie
+    is ghost).  [x] below is the scalar x / scale, or -inf with no path."""
 
-    def entry(i: int, j: int) -> Scalar:
-        r = owner[i]  # the empty path is kept out of cost: a pass would add it to itself, a tie
-        d, g = (0, False) if r == j else (cost[r][j], ghost[r][j])
-        return ZERO if d == inf else Scalar(Fraction(total - u[j] - v[i] - d, scale), g)
+    def __init__(self, a: Matrix, scale: int, total: int, w: list, sigma: tuple, u: list, v: list):
+        n, inf = a.rows, math.inf
+        self.scale, self.total, self.u, self.v = scale, total, u, v
+        self.owner = owner = {c: r for r, c in enumerate(sigma)}
+        self.cost = cost = [[inf] * n for _ in range(n)]
+        self.ghost = ghost = [[False] * n for _ in range(n)]
+        for r, row in enumerate(w):
+            for c, x in enumerate(row):
+                if x is not None and c != sigma[r]:
+                    cost[r][owner[c]], ghost[r][owner[c]] = u[r] + v[c] - x, a.entries[r][c].ghost
+        for k in range(n):
+            for cost_i, ghost_i in zip(cost, ghost):
+                via = cost_i[k]
+                if via == inf:
+                    continue
+                for j, step in enumerate(cost[k]):
+                    d = via + step
+                    if d < cost_i[j]:
+                        cost_i[j], ghost_i[j] = d, ghost_i[k] or ghost[k][j]
+                    elif d == cost_i[j] < inf:
+                        ghost_i[j] = True
+        for r in range(n):  # after the pass, which would add the empty path to itself, a tie
+            cost[r][r], ghost[r][r] = 0, False
 
-    return Matrix(tuple(tuple(entry(i, j) for j in range(n)) for i in range(n)))
+    def grid(self, entry: Callable[[int, int], tuple]) -> Matrix:
+        """Entry (i, j) is [x - D(r, c)], ghost if forced or the path is,
+        for (x, r, c, forced) = entry(i, j)."""
+        n = range(len(self.cost))
+        return Matrix(tuple(tuple(self.at(*entry(i, j)) for j in n) for i in n))
+
+    def at(self, x: int, r: int, c: int, forced: bool) -> Scalar:
+        d = self.cost[r][c]
+        if d == math.inf:
+            return ZERO
+        return Scalar(Fraction(x - d, self.scale), forced or self.ghost[r][c])
+
+    def pinv(self, shift: int = 0, ghost_off_sigma: bool = False) -> Matrix:
+        """A^nabla = [-u_j - v_i - D(owner i, j)], or adj(A) = |A| A^nabla
+        with ``shift`` = total: an optimum of minor (row j, column i deleted)
+        leaves sigma only along a path owner(i) -> ... -> j.
+        ``ghost_off_sigma`` makes every entry with sigma(j) != i ghost:
+        A^nabla I_A = A^{nabla nabla}."""
+        return self.grid(lambda i, j: (
+            shift - self.u[j] - self.v[i], self.owner[i], j, ghost_off_sigma and self.owner[i] != j))
+
+    def close(self) -> Matrix:
+        """I_A A: a_ij on sigma and [u_i + v_j - D(i, owner j)] ghost off it."""
+        return self.grid(lambda i, j: (self.u[i] + self.v[j], i, self.owner[j], i != self.owner[j]))
+
+
+def _optimum(a: Matrix) -> _Optimum:
+    """The optimum of a nonsingular A; ``DomainError`` for any other A."""
+    if not a.is_square:
+        raise DomainError("pseudo-inverse of a non-square matrix")
+    d, o = _solve(a, closure=True)
+    if o is None:
+        raise DomainError(f"singular matrix: |A| = {d.value}")
+    return o
 
 
 def is_nonsingular(a: Matrix) -> bool:
@@ -316,41 +341,35 @@ def is_nonsingular(a: Matrix) -> bool:
 
 def pseudo_inverse(a: Matrix) -> Matrix:
     """A^nabla = adj(A) / |A|; defined only for nonsingular A."""
-    if not a.is_square:
-        raise DomainError("pseudo-inverse of a non-square matrix")
-    d, adj = _solve(a, closure=True)
-    if adj is None:
-        raise DomainError(f"singular matrix: |A| = {d.value}")
-    dinv = d.value.inv()
-    return Matrix(tuple(tuple(dinv * e for e in r) for r in adj.entries))
+    return _optimum(a).pinv()
 
 
 def quasi_identities(a: Matrix) -> Tuple[Matrix, Matrix]:
-    """(I_A, I'_A) = (A A^nabla, A^nabla A)."""
-    pinv = pseudo_inverse(a)
-    return mat_mul(a, pinv), mat_mul(pinv, a)
+    """(I_A, I'_A) = (A A^nabla, A^nabla A), read off one solve: one on the
+    diagonal, and off it the ghosts [u_i - u_j - D(i, j)] and
+    [v_j - v_i - D(owner i, owner j)]."""
+    o = _optimum(a)
+    return (o.grid(lambda i, j: (o.u[i] - o.u[j], i, j, i != j)),
+            o.grid(lambda i, j: (o.v[j] - o.v[i], o.owner[i], o.owner[j], i != j)))
 
 
 def is_quasi_identity(m: Matrix) -> bool:
     """Multiplicatively idempotent, determinant one, ghost-surpasses Id."""
     if not m.is_square:
         raise ShapeError("quasi-identity test needs a square matrix")
-    if mat_mul(m, m) != m:
-        return False
-    if det(m).value != ONE:
-        return False
-    return m.ghost_surpasses(Matrix.identity(m.rows))
+    return mat_mul(m, m) == m and det(m).value == ONE and m.ghost_surpasses(Matrix.identity(m.rows))
 
 
 def double_pseudo(a: Matrix) -> Matrix:
-    """A^{nabla nabla} = A^nabla A A^nabla."""
-    pinv = pseudo_inverse(a)
-    return mat_mul(pinv, mat_mul(a, pinv))
+    """A^{nabla nabla} = A^nabla A A^nabla, read off one solve: A^nabla with
+    every entry (i, j) where sigma(j) != i made ghost."""
+    return _optimum(a).pinv(ghost_off_sigma=True)
 
 
 def close(a: Matrix) -> Matrix:
-    """The closed base matrix I_A A."""
-    return mat_mul(mat_mul(a, pseudo_inverse(a)), a)
+    """The closed base matrix I_A A, read off one solve: a_ij on sigma and
+    [u_i + v_j - D(i, owner j)], ghost, off it."""
+    return _optimum(a).close()
 
 
 def is_closed_base(a: Matrix) -> bool:
@@ -361,24 +380,25 @@ def is_closed_base(a: Matrix) -> bool:
 # -- rank and independence -------------------------------------------------
 
 
-def rank(a: Matrix) -> int:
-    """Largest k such that some k x k submatrix has tangible determinant."""
+def _tangible_minor(a: Matrix, k: int) -> bool:
+    """Whether some k x k submatrix of A has a tangible determinant."""
     if max(a.rows, a.cols) > RANK_CAP:
         raise CapacityError(f"rank enumeration capped at n = {RANK_CAP}")
-    for k in range(min(a.rows, a.cols), 0, -1):
-        for ri in itertools.combinations(range(a.rows), k):
-            for ci in itertools.combinations(range(a.cols), k):
-                sub = Matrix(
-                    tuple(tuple(a.entries[i][j] for j in ci) for i in ri)
-                )
-                if det(sub).value.is_tangible:
-                    return k
-    return 0
+    return any(
+        det(Matrix(tuple(tuple(a.entries[i][j] for j in ci) for i in ri))).value.is_tangible
+        for ri in itertools.combinations(range(a.rows), k)
+        for ci in itertools.combinations(range(a.cols), k)
+    )
+
+
+def rank(a: Matrix) -> int:
+    """Largest k such that some k x k submatrix has tangible determinant."""
+    return next((k for k in range(min(a.rows, a.cols), 0, -1) if _tangible_minor(a, k)), 0)
 
 
 def independent(vectors: Sequence[Vector]) -> bool:
     """Tropical independence via the rank criterion: the column matrix of
-    the k vectors must have rank k."""
+    the k vectors must have rank k, i.e. a tangible k x k minor."""
     k = len(vectors)
     if k == 0:
         return True
@@ -387,7 +407,7 @@ def independent(vectors: Sequence[Vector]) -> bool:
         raise ShapeError("vector dimension mismatch")
     if k > n:
         return False
-    return rank(Matrix.from_columns(vectors)) == k
+    return _tangible_minor(Matrix.from_columns(vectors), k)
 
 
 # -- text and JSON I/O -----------------------------------------------------

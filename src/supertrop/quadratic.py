@@ -37,6 +37,8 @@ class QuadraticForm:
             raise DomainError("exactly one representation must be given")
         if self.diagonal is not None:
             object.__setattr__(self, "diagonal", tuple(self.diagonal))
+            if not self.diagonal:
+                raise ShapeError("diagonal forms must have positive dimension")
 
     @property
     def is_diagonal(self) -> bool:
@@ -93,15 +95,9 @@ def form_from_q(q: QuadraticForm) -> BilinearForm:
     g_ij = sqrt(Q(e_i) Q(e_j)), built once from the base values."""
     qs = diagonal_from_form(q).diagonal
     half = Fraction(1, 2)
-    rows = []
-    for qi in qs:
-        rows.append(
-            tuple(
-                (qi * qj).power(half) if not (qi.is_zero or qj.is_zero) else ZERO
-                for qj in qs
-            )
-        )
-    return BilinearForm(Matrix(tuple(rows)))
+    return BilinearForm(Matrix(tuple(
+        tuple(ZERO if qi.is_zero or qj.is_zero else (qi * qj).power(half) for qj in qs) for qi in qs
+    )))
 
 
 def diagonal_from_form(q: QuadraticForm) -> QuadraticForm:

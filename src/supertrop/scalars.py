@@ -112,8 +112,10 @@ class Scalar:
 
     def power(self, r) -> "Scalar":
         """Raise to a rational power; the group (Q, +) is divisible, so any
-        rational exponent is legal on nonzero scalars."""
-        r = Fraction(r)
+        rational exponent is legal on nonzero scalars.  ``r`` is read as for
+        :meth:`tangible`: a float raises ``DomainError``, a non-rational
+        string ``ParseError``."""
+        r = _rational(r)
         if self.value is None:
             if r <= 0:
                 raise DomainError("zero cannot be raised to a nonpositive power")

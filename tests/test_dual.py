@@ -13,6 +13,7 @@ from supertrop import (
     apply,
     check_map_axioms,
     close,
+    det,
     dual_base,
     dual_eval_matrix,
     dual_rank,
@@ -25,6 +26,7 @@ from supertrop import (
     project_closed,
     vector,
 )
+from supertrop import matrices
 from supertrop.dual import COUNTEREXAMPLE, PROVED
 from supertrop.oracle import sample
 
@@ -161,6 +163,16 @@ def test_tropically_onto():
     assert is_tropically_onto(Matrix.identity(2))
     assert not is_tropically_onto(parse_matrix("1 2\n3 4"))
     assert is_tropically_onto(A)
+
+
+def test_tropically_onto_asks_one_level(monkeypatch):
+    # A ghost-heavy 10 x 10 that is not onto: one 10 x 10 determinant
+    # answers, with no descent through the lower minors.
+    calls = []
+    monkeypatch.setattr(matrices, "det", lambda m: calls.append(m) or det(m))
+    m = sample("matrix", 10, 1, 0, ghost_density=0.9, zero_density=0.0)
+    assert not is_tropically_onto(m)
+    assert len(calls) == 1
 
 
 # -- double dual -----------------------------------------------------------

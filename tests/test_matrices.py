@@ -13,12 +13,14 @@ from supertrop import (
     Matrix,
     ONE,
     ParseError,
+    PreconditionError,
     Scalar,
     ShapeError,
     ZERO,
     adjoint,
     close,
     det,
+    dual_base,
     independent,
     is_closed_base,
     is_nonsingular,
@@ -32,6 +34,7 @@ from supertrop import (
     rank,
     vector,
 )
+from supertrop import matrices
 from supertrop.matrices import double_pseudo, minor_grid
 from supertrop.oracle import brute_force_det, sample
 
@@ -257,6 +260,53 @@ def test_is_closed_base():
     assert mat_mul(i_a, close(A)) == close(A)
 
 
+def test_one_solve_matches_the_product_definitions():
+    # The quasi-identities, close, A^nabla nabla and the dual base are read
+    # off one solve; each must equal its product definition exactly.  Small
+    # numerators over denominators up to 6 make ties, ghosts, -inf entries
+    # and singular draws common.
+    rng = random.Random(20261019)
+    seen = {"nonsingular": 0, "singular": 0, "closed": 0}
+    for n in range(1, 9):
+        for _ in range(50 if n < 7 else 20):
+            a = Matrix.from_rows(
+                [
+                    ZERO if rng.random() < 0.15
+                    else Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 6)), rng.random() < 0.2)
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            )
+            try:
+                pinv = pseudo_inverse(a)
+            except DomainError as exc:
+                seen["singular"] += 1
+                message = f"singular matrix: |A| = {det(a).value}"
+                assert str(exc) == message
+                for op in (quasi_identities, close, double_pseudo):
+                    with pytest.raises(DomainError) as info:
+                        op(a)
+                    assert str(info.value) == message
+                with pytest.raises(PreconditionError, match="requires a nonsingular base matrix"):
+                    dual_base(a)
+                continue
+            seen["nonsingular"] += 1
+            i_a = mat_mul(a, pinv)
+            assert quasi_identities(a) == (i_a, mat_mul(pinv, a)), str(a)
+            assert close(a) == mat_mul(i_a, a), str(a)
+            assert double_pseudo(a) == mat_mul(pinv, i_a), str(a)
+            for base in (a, close(a)):
+                if mat_mul(mat_mul(base, pseudo_inverse(base)), base) != base:
+                    with pytest.raises(PreconditionError, match="not closed"):
+                        dual_base(base)
+                    continue
+                seen["closed"] += 1
+                p = pseudo_inverse(base)
+                rows = Matrix.from_rows(f.row for f in dual_base(base).functionals)
+                assert rows == mat_mul(p, mat_mul(base, p)), str(base)
+    assert min(seen.values()) >= 100, seen
+
+
 # -- rank and independence -------------------------------------------------
 
 
@@ -295,6 +345,18 @@ def test_independent_ghost_pair():
 
 def test_independent_too_many():
     assert not independent([vector(0), vector(1)])
+
+
+def test_independent_asks_one_level(monkeypatch):
+    # n dependent vectors in n dimensions: one n x n determinant answers,
+    # with no descent through the lower minors.
+    calls = []
+    monkeypatch.setattr(matrices, "det", lambda m: calls.append(m) or det(m))
+    for n in (3, 6, 8):
+        vectors = sample("matrix", n, 1, 0, ghost_density=0.9, zero_density=0.0).columns()
+        calls.clear()
+        assert not independent(vectors)
+        assert len(calls) == 1
 
 
 def test_nonsingular():

@@ -9,6 +9,7 @@ from supertrop import (
     PreconditionError,
     QuadraticForm,
     Scalar,
+    ShapeError,
     diagonal_from_form,
     form_from_q,
     hyperbolic_plane,
@@ -33,6 +34,11 @@ def test_neither_or_both_representations_raise_domain_error():
     for kwargs in ({}, {"form": form, "diagonal": (T(0), T(2))}):
         with pytest.raises(DomainError, match="exactly one representation must be given"):
             QuadraticForm(**kwargs)
+
+
+def test_empty_diagonal_raises_shape_error():
+    with pytest.raises(ShapeError, match="diagonal forms must have positive dimension"):
+        QuadraticForm.from_diagonal([])
 
 
 # -- evaluation ------------------------------------------------------------

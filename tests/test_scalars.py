@@ -98,6 +98,16 @@ def test_power():
     assert ZERO.power(2) == ZERO
 
 
+def test_power_rejects_a_float_exponent():
+    with pytest.raises(DomainError, match="float scalar value 0.5"):
+        T(3).power(0.5)
+
+
+def test_power_rejects_a_non_rational_exponent():
+    with pytest.raises(ParseError, match="bad rational scalar value 'x'"):
+        T(3).power("x")
+
+
 def test_frobenius_instance():
     # (3+5)^2 and 3^2 + 5^2 both come to 10
     assert (T(3) + T(5)).power(2) == T(10)
