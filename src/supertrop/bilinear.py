@@ -22,25 +22,24 @@ suites in ``supertrop.oracle`` re-check strips and sample alternate spans.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import DomainError, PreconditionError, ShapeError
 from .matrices import Matrix, det, independent
-from .scalars import ONE, ZERO, Scalar, Vector, dot, lin_comb
+from .scalars import ONE, ZERO, Record, Scalar, Vector, dot, lin_comb
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(Record):
     """A strict bilinear form, stored as its Gram matrix on the ambient
     standard base: g_ij = <e_i, e_j>."""
 
-    gram: Matrix
+    __slots__ = ("gram",)
 
-    def __post_init__(self) -> None:
-        if not self.gram.is_square:
+    def __init__(self, gram: Matrix) -> None:
+        if not gram.is_square:
             raise ShapeError("Gram matrix must be square")
+        super().__init__(gram)
 
     @property
     def dim(self) -> int:
@@ -73,10 +72,11 @@ def gram_of(form: BilinearForm, vs: Sequence[Vector]) -> Matrix:
     return Matrix(tuple(tuple(dot(v, gw) for gw in gws) for v in vs))
 
 
-@dataclass(frozen=True)
-class VectorClass:
-    isotropic: bool  # <v,v> in the ghost ideal (zero included)
-    normal: bool  # <v,v> is exactly one
+class VectorClass(Record):
+    """isotropic: <v,v> is in the ghost ideal (zero included); normal: <v,v>
+    is exactly one."""
+
+    __slots__ = ("isotropic", "normal")
 
 
 def classify_vector(form: BilinearForm, v: Vector) -> VectorClass:
@@ -118,15 +118,9 @@ def is_alternate(form: BilinearForm, base: Sequence[Vector]) -> bool:
 # -- pair classification ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairClass:
-    left_g_orthogonal: bool
-    right_g_orthogonal: bool
-    compatible: bool
-    strictly_compatible: bool
-    weakly_cauchy_schwartz: bool
-    cauchy_schwartz: bool
-    corner_singular: bool
+class PairClass(Record):
+    __slots__ = ("left_g_orthogonal", "right_g_orthogonal", "compatible", "strictly_compatible",
+                 "weakly_cauchy_schwartz", "cauchy_schwartz", "corner_singular")
 
     def as_dict(self) -> dict:
         return {
@@ -209,11 +203,8 @@ def gram_dependent(form: BilinearForm, vs: Sequence[Vector]) -> bool:
 # -- Gram-Schmidt ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GSResult:
-    projected: Vector
-    corrected: Vector
-    dominant: frozenset
+class GSResult(Record):
+    __slots__ = ("projected", "corrected", "dominant")  # Vector, Vector, frozenset
 
 
 def gs_step(form: BilinearForm, base: Sequence[Vector], v: Vector) -> GSResult:
@@ -304,8 +295,7 @@ def gram_schmidt(
 # -- the rank-2 g-isotropic strip -----------------------------------------
 
 
-@dataclass(frozen=True)
-class StripResult:
+class StripResult(Record):
     """The nu-values of tangible beta making v1 + beta*v2 g-isotropic
     (after internally ordering the pair by self-pairing nu-value).
 
@@ -314,11 +304,8 @@ class StripResult:
     single nu-value ``at``.  kind 'empty': no tangible beta works.
     """
 
-    kind: str  # 'interval' | 'point' | 'empty'
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    at: Optional[Fraction] = None
-    swapped: bool = False
+    __slots__ = ("kind", "lo", "hi", "at", "swapped")  # kind: 'interval' | 'point' | 'empty'
+    _defaults = {"lo": None, "hi": None, "at": None, "swapped": False}
 
     def as_dict(self) -> dict:
         def fmt(x):

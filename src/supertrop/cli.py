@@ -11,6 +11,11 @@ handler returns ``(text, payload)``; ``check`` returns its report's own JSON
 text as the payload, which carries no schema tag, and its exit code third.
 :func:`main` is the one call site: it runs the handler, prints the text or
 the tagged payload, and maps every error to its exit code.
+
+Only ``errors``, ``scalars`` and ``matrices`` are imported with this
+module.  The form, dual and quadratic commands reach their modules through
+the lazy ``supertrop`` package when they run, and only ``check`` imports
+``oracle``, so a command loads no module it does not run.
 """
 
 from __future__ import annotations
@@ -21,9 +26,8 @@ import os
 import sys
 from typing import List, Optional
 
-from . import bilinear as bl
-from . import dual as du
-from . import quadratic as qd
+import supertrop as lib
+
 from .errors import ParseError, ShapeError, SupertropError
 from .matrices import (
     Matrix,
@@ -38,7 +42,6 @@ from .matrices import (
     quasi_identities,
     rank,
 )
-from .oracle import SUITES, run_suite
 from .scalars import Vector, parse_scalar, parse_vector
 
 SCHEMA = "supertrop/2"
@@ -73,8 +76,8 @@ def _load_rows(path: str) -> List[Vector]:
     return [Vector(r) for r in _load_matrix(path).entries]
 
 
-def _form(args) -> bl.BilinearForm:
-    return bl.BilinearForm(_load_matrix(args.form))
+def _form(args) -> lib.BilinearForm:
+    return lib.BilinearForm(_load_matrix(args.form))
 
 
 def _rows(m: Matrix):
@@ -108,14 +111,14 @@ MATRIX_COMMANDS = {
     "indep": ("tropical independence of the columns",
               lambda m: _field("independent", independent(m.columns()))),
     "dualbase": ("dual-base functional rows of a closed base",
-                 lambda m: _rows(Matrix.from_rows(f.row for f in du.dual_base(m).functionals))),
+                 lambda m: _rows(Matrix.from_rows(f.row for f in lib.dual_base(m).functionals))),
     "dualgrid": ("dual evaluation grid [eps_i(b_j)]",
-                 lambda m: _rows(du.dual_eval_matrix(du.dual_base(m)))),
+                 lambda m: _rows(lib.dual_eval_matrix(lib.dual_base(m)))),
 }
 
 
 def _classify(args):
-    c = bl.classify_vector(_form(args), parse_vector(args.vec))
+    c = lib.classify_vector(_form(args), parse_vector(args.vec))
     text = ("g-isotropic" if c.isotropic else "g-nonisotropic") + (" normal" if c.normal else "")
     return text, {"g-isotropic": c.isotropic, "normal": c.normal}
 
@@ -123,14 +126,14 @@ def _classify(args):
 def _pair(args):
     if len(args.vec) != 2:
         raise ParseError("pair needs exactly two --vec arguments")
-    flags = bl.pair_class(_form(args), *map(parse_vector, args.vec)).as_dict()
+    flags = lib.pair_class(_form(args), *map(parse_vector, args.vec)).as_dict()
     return "\n".join(f"{k}: {json.dumps(v)}" for k, v in flags.items()), flags
 
 
 def _gs(args):
     form = _form(args)
     base = _load_rows(args.base) if args.base else []
-    res = bl.gs_step(form, base, parse_vector(args.vec))
+    res = lib.gs_step(form, base, parse_vector(args.vec))
     dominant = sorted(res.dominant)
     text = (
         f"projected: {res.projected}\n"
@@ -147,43 +150,43 @@ def _strip(args):
     if args.vec and len(args.vec) != 2:
         raise ParseError("strip needs zero or two --vec arguments")
     v1, v2 = map(parse_vector, args.vec) if args.vec else Matrix.identity(form.dim).columns()[:2]
-    payload = bl.isotropic_strip(form, v1, v2).as_dict()
+    payload = lib.isotropic_strip(form, v1, v2).as_dict()
     return " ".join(f"{k}={v}" for k, v in payload.items()), payload
 
 
 def _decompose(args):
     form = _form(args)
     base = _load_rows(args.base) if args.base else Matrix.identity(form.dim).columns()
-    aniso, alternate = bl.decompose(form, base)
+    aniso, alternate = lib.decompose(form, base)
     text = "anisotropic:\n" + "\n".join(f"  {v}" for v in aniso)
     text += "\nalternate:\n" + "\n".join(f"  {v}" for v in alternate)
     return text, {"anisotropic": [str(v) for v in aniso], "alternate": [str(v) for v in alternate]}
 
 
-def _quad_forms(args, count: int) -> List[qd.QuadraticForm]:
+def _quad_forms(args, count: int) -> List[lib.QuadraticForm]:
     """Exactly ``count`` quadratic forms, the ``--diag`` ones first."""
     diags, forms = args.diag or [], args.form or []
     if len(diags) + len(forms) != count:
         noun = "form" if count == 1 else "forms"
         raise ParseError(f"quad {args.qcommand} takes exactly {count} {noun} from --diag and "
                          f"--form, got {len(diags) + len(forms)}")
-    return [qd.QuadraticForm.from_diagonal(tuple(parse_vector(d))) for d in diags] + [
-        qd.QuadraticForm.from_form(bl.BilinearForm(_load_matrix(f))) for f in forms
+    return [lib.QuadraticForm.from_diagonal(tuple(parse_vector(d))) for d in diags] + [
+        lib.QuadraticForm.from_form(lib.BilinearForm(_load_matrix(f))) for f in forms
     ]
 
 
 def _quad_eval(args):
-    value = str(qd.q_eval(_quad_forms(args, 1)[0], parse_vector(args.vec)))
+    value = str(lib.q_eval(_quad_forms(args, 1)[0], parse_vector(args.vec)))
     return value, {"value": value}
 
 
 def _quad_check(args):
-    verdict = qd.quasilinearity_check(_quad_forms(args, 1)[0], args.trials, _seed(args))
+    verdict = lib.quasilinearity_check(_quad_forms(args, 1)[0], args.trials, _seed(args))
     return verdict, {"verdict": verdict, "trials": args.trials}
 
 
 def _quad_osum(args):
-    out = qd.orthogonal_sum(*_quad_forms(args, 2))
+    out = lib.orthogonal_sum(*_quad_forms(args, 2))
     if not out.is_diagonal:
         return _rows(out.form.gram)
     diagonal = [str(x) for x in out.diagonal]
@@ -192,10 +195,18 @@ def _quad_osum(args):
 
 def _check(args):
     seed = _seed(args)
-    report = run_suite(args.suite, args.trials, seed)
+    report = lib.run_suite(args.suite, args.trials, seed)
     lines = [f"{report.suite}: {report.verdict} ({report.trials} trials, seed {seed})"]
     lines += [f"  FAIL {tag}: expected {expected}, got {got}" for tag, expected, got in report.failures]
     return "\n".join(lines), report.to_json(), 0 if report.passed else 3
+
+
+class _SuiteNames:
+    """``check``'s choices, ``sorted(oracle.SUITES)``, read when argparse
+    tests or lists them, so that no other command imports ``oracle``."""
+
+    def __iter__(self):
+        return iter(sorted(lib.oracle.SUITES))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,10 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     spg = formcmd("gram", "Gram matrix of vectors under a form",
-                  lambda args: _rows(bl.gram_of(_form(args), _load_rows(args.vectors))))
+                  lambda args: _rows(lib.gram_of(_form(args), _load_rows(args.vectors))))
     spg.add_argument("vectors", help="matrix file whose rows are the vectors")
     formcmd("symmetric", "supertropical symmetry test",
-            lambda args: _field("symmetric", bl.is_supertropically_symmetric(_form(args))))
+            lambda args: _field("symmetric", lib.is_supertropically_symmetric(_form(args))))
     spc = formcmd("classify", "isotropy/normality of a vector", _classify)
     spc.add_argument("--vec", required=True, help="vector as scalar tokens")
     spp = formcmd("pair", "pair classification flags", _pair)
@@ -253,14 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
     sqc.add_argument("--trials", type=int, default=200)
     sqc.add_argument("--seed", type=int, default=None)
     quadcmd("fromq", "bilinear companion of a strictly quasilinear form",
-            lambda args: _rows(qd.form_from_q(_quad_forms(args, 1)[0]).gram))
+            lambda args: _rows(lib.form_from_q(_quad_forms(args, 1)[0]).gram))
     sqh = cmd(qsub, "hyper", "hyperbolic plane gram matrix",
-              lambda args: _rows(qd.hyperbolic_plane(parse_scalar(args.value)).gram))
+              lambda args: _rows(lib.hyperbolic_plane(parse_scalar(args.value)).gram))
     sqh.add_argument("value", help="tangible cross pairing")
     quadcmd("osum", "orthogonal sum (give --diag or --form twice)", _quad_osum)
 
     spk = cmd(sub, "check", "run a property suite", _check)
-    spk.add_argument("suite", choices=sorted(SUITES))
+    # Set after add_argument, which would list the choices to check a metavar.
+    spk.add_argument("suite").choices = _SuiteNames()
     spk.add_argument("--trials", type=int, default=200)
     spk.add_argument("--seed", type=int, default=None)
 

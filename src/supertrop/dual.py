@@ -9,8 +9,6 @@ quasi-identity A^{nabla nabla} A (diagonal one, ghost off-diagonal).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from .errors import DomainError, PreconditionError, ShapeError
 from .matrices import (
@@ -23,23 +21,20 @@ from .matrices import (
     pseudo_inverse,
     rank,
 )
-from .scalars import NU_HI, NU_LO, Scalar, Vector, check_trials, dot, random_scalar
+from .scalars import NU_HI, NU_LO, Record, Scalar, Vector, check_trials, dot, random_scalar
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(Record):
     """A linear functional f(v) = sum_j row_j * v_j."""
 
-    row: Vector
+    __slots__ = ("row",)  # Vector
 
     def __call__(self, v: Vector) -> Scalar:
         return apply(self, v)
 
 
-@dataclass(frozen=True)
-class DualBase:
-    functionals: Tuple[Functional, ...]
-    source: Matrix
+class DualBase(Record):
+    __slots__ = ("functionals", "source")  # tuple of Functional, Matrix
 
 
 def apply(f: Functional, v: Vector) -> Scalar:
@@ -126,11 +121,9 @@ def is_ghost_monic(m: Matrix, trials: int = 100, seed: int = 0) -> bool:
     return ghost_monic_verdict(m, trials, seed) != COUNTEREXAMPLE
 
 
-@dataclass(frozen=True)
-class MapAxiomReport:
-    trials: int
-    passed: bool
-    counterexample: Optional[str] = None
+class MapAxiomReport(Record):
+    __slots__ = ("trials", "passed", "counterexample")  # int, bool, str or None
+    _defaults = {"counterexample": None}
 
 
 def check_map_axioms(m: Matrix, trials: int = 100, seed: int = 0) -> MapAxiomReport:

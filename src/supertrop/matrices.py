@@ -15,29 +15,27 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, DomainError, ParseError, ShapeError
-from .scalars import ONE, ZERO, Scalar, Vector, dot, parse_scalar
+from .scalars import ONE, ZERO, Record, Scalar, Vector, dot, parse_scalar
 
 RANK_CAP = 10
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """A dense rectangular matrix of supertropical scalars (row-major)."""
 
-    entries: tuple  # tuple of row tuples
+    __slots__ = ("entries",)  # tuple of row tuples
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, entries) -> None:
+        rows = tuple(tuple(r) for r in entries)
         if not rows or not rows[0]:
             raise ShapeError("matrices must have positive dimensions")
         if any(len(r) != len(rows[0]) for r in rows):
             raise ShapeError("ragged rows")
+        object.__setattr__(self, "entries", rows)
 
     @property
     def rows(self) -> int:
@@ -108,8 +106,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 # -- determinants ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DetResult:
+class DetResult(Record):
     """Determinant value plus witness permutations (``perm[i]`` is the
     column of row i).  ``witnesses`` is empty when the value is ``-inf``;
     otherwise it holds one optimal permutation and, exactly when the optimum
@@ -117,8 +114,7 @@ class DetResult:
     The value is ghost iff there is a tie or the unique optimum passes
     through a ghost entry."""
 
-    value: Scalar
-    witnesses: frozenset
+    __slots__ = ("value", "witnesses")  # Scalar, frozenset
 
 
 def det(a: Matrix) -> DetResult:

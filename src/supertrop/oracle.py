@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -41,7 +40,7 @@ from .matrices import (
     is_quasi_identity,
     rank,
 )
-from .scalars import NU_HI, ONE, ZERO, Scalar, Vector, check_trials, lin_comb, random_scalar
+from .scalars import NU_HI, ONE, ZERO, Record, Scalar, Vector, check_trials, lin_comb, random_scalar
 
 BRUTE_FORCE_CAP = 8
 DEPENDENCE_CAP = 2 ** 16
@@ -158,13 +157,9 @@ def sample(
 # -- trial reports ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialReport:
-    suite: str
-    trials: int
-    seed: int
-    failures: Tuple[Tuple[str, str, str], ...]
-    verdict: str  # pass | counterexample
+class TrialReport(Record):
+    # failures: (tag, expected, got) string triples; verdict: pass | counterexample
+    __slots__ = ("suite", "trials", "seed", "failures", "verdict")
 
     @property
     def passed(self) -> bool:

@@ -10,35 +10,34 @@ bilinear form.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .bilinear import BilinearForm, evaluate, is_supertropically_symmetric
 from .errors import DomainError, PreconditionError, ShapeError
 from .matrices import Matrix, independent
-from .scalars import ZERO, Scalar, Vector, check_trials, dot, random_scalar
+from .scalars import ZERO, Record, Scalar, Vector, check_trials, dot, random_scalar
 
 STRICT = "strict"
 QUASILINEAR = "quasilinear"
 NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Record):
     """Tagged union: exactly one of ``form`` (form-backed) or ``diagonal``
     (strictly quasilinear diagonal values) is set."""
 
-    form: Optional[BilinearForm] = None
-    diagonal: Optional[Tuple[Scalar, ...]] = None
+    __slots__ = ("form", "diagonal")
 
-    def __post_init__(self) -> None:
-        if (self.form is None) == (self.diagonal is None):
+    def __init__(self, form: Optional[BilinearForm] = None,
+                 diagonal: Optional[Sequence[Scalar]] = None) -> None:
+        if (form is None) == (diagonal is None):
             raise DomainError("exactly one representation must be given")
-        if self.diagonal is not None:
-            object.__setattr__(self, "diagonal", tuple(self.diagonal))
-            if not self.diagonal:
+        if diagonal is not None:
+            diagonal = tuple(diagonal)
+            if not diagonal:
                 raise ShapeError("diagonal forms must have positive dimension")
+        super().__init__(form, diagonal)
 
     @property
     def is_diagonal(self) -> bool:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,29 +30,85 @@ NU_LO = -10
 NU_HI = 10
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Record:
+    """An immutable value whose fields are its class's ``__slots__``: equal
+    and hashed by the tuple of its field values and shown as
+    ``Name(field=value, ...)``, as a frozen dataclass is.  The generic
+    constructor takes the fields in order, by position or keyword; a field
+    not given takes its value from ``_defaults``."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        # The slots' own setters: faster than object.__setattr__.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._setters):
+            fields = self.__slots__
+            values = dict(self._defaults, **dict(zip(fields, args)), **kwargs)
+            if len(args) > len(fields) or values.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+            args = [values[name] for name in fields]
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Scalar(Record):
     """A supertropical scalar: zero, tangible, or ghost.
 
     ``value is None`` encodes the semiring zero (written ``-inf``); in that
     case ``ghost`` is always False.  Otherwise ``ghost`` selects the layer.
     """
 
-    value: Optional[Fraction]
-    ghost: bool = False
+    __slots__ = ("value", "ghost")
 
-    def __post_init__(self) -> None:
-        if self.value is None and self.ghost:
+    def __init__(self, value: Optional[Fraction], ghost: bool = False) -> None:
+        if value is None and ghost:
             raise DomainError("zero scalar carries no layer")
+        _set_value(self, value)
+        _set_ghost(self, ghost)
+
+    def __eq__(self, other):
+        # One tuple compare, which short-cuts on shared Fractions.
+        if other.__class__ is self.__class__:
+            return (self.value, self.ghost) == (other.value, other.ghost)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.ghost))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def tangible(q) -> "Scalar":
         """The tangible scalar of nu-value q: an int, a ``Fraction`` or a
-        rational string such as ``"-3/2"``.  A float raises ``DomainError``:
-        its binary value is rarely the rational meant; a string that is not
-        a rational raises ``ParseError``."""
+        rational string such as ``"-3/2"``.  A float raises ``DomainError``
+        (its binary value is rarely the rational meant), as does any other
+        type that is not a rational; a string that is not a rational raises
+        ``ParseError``."""
         return Scalar(_rational(q), False)
 
     @staticmethod
@@ -113,8 +168,7 @@ class Scalar:
     def power(self, r) -> "Scalar":
         """Raise to a rational power; the group (Q, +) is divisible, so any
         rational exponent is legal on nonzero scalars.  ``r`` is read as for
-        :meth:`tangible`: a float raises ``DomainError``, a non-rational
-        string ``ParseError``."""
+        :meth:`tangible`."""
         r = _rational(r)
         if self.value is None:
             if r <= 0:
@@ -167,13 +221,18 @@ class Scalar:
         return f"Scalar({self})"
 
 
+_set_value, _set_ghost = Scalar._setters
+
+
 def _rational(q) -> Fraction:
-    if isinstance(q, float):
-        raise DomainError(f"float scalar value {q!r}; give an int, Fraction or rational string")
     try:
-        return Fraction(q)
+        if not isinstance(q, float):
+            return Fraction(q)
+    except (TypeError, OverflowError):
+        pass
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational scalar value {q!r}") from exc
+    raise DomainError(f"{type(q).__name__} scalar value {q!r}; give an int, Fraction or rational string")
 
 
 def dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
@@ -239,16 +298,16 @@ def check_trials(trials: int) -> None:
 # -- vectors ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Vector:
+class Vector(Record):
     """A fixed-length dense vector of supertropical scalars."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
+    def __init__(self, entries) -> None:
+        entries = tuple(entries)
+        if not entries:
             raise ShapeError("vectors must have positive dimension")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def dim(self) -> int:

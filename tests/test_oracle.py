@@ -1,6 +1,5 @@
 """Brute-force engines, samplers, and suite report determinism."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -14,6 +13,7 @@ from supertrop import (
     Matrix,
     ONE,
     Scalar,
+    StripResult,
     ZERO,
     brute_force_det,
     det,
@@ -150,7 +150,7 @@ def test_strip_recheck_accepts_strips_and_catches_a_wrong_one():
     form = BilinearForm(parse_matrix("0 2\n2 0"))
     strip = isotropic_strip(form, E1, E2)
     assert _strip_problem(form, E1, E2, strip) is None
-    wrong = dataclasses.replace(strip, kind="point", at=Fraction(5))
+    wrong = StripResult("point", strip.lo, strip.hi, Fraction(5), strip.swapped)
     assert _strip_problem(form, E1, E2, wrong) is not None
 
 
@@ -160,7 +160,7 @@ def test_strip_recheck_uses_the_swapped_order():
     strip = isotropic_strip(form, E1, E2)
     assert strip.swapped and strip.at == Fraction(-1)
     assert _strip_problem(form, E1, E2, strip) is None
-    unswapped = dataclasses.replace(strip, swapped=False)
+    unswapped = StripResult(strip.kind, strip.lo, strip.hi, strip.at, swapped=False)
     assert _strip_problem(form, E1, E2, unswapped) is not None
 
 

@@ -179,6 +179,13 @@ def test_constructors_reject_floats():
             make(0.1)
 
 
+@pytest.mark.parametrize("bad", [None, [1], 1 + 2j, b"1"], ids=["None", "list", "complex", "bytes"])
+def test_non_rational_types_raise_domain_error(bad):
+    for make in (T, G, ONE.power):
+        with pytest.raises(DomainError, match="scalar value .*; give an int, Fraction or rational string"):
+            make(bad)
+
+
 def test_constructors_reject_bad_strings():
     for make in (T, G):
         for bad in ("abc", "1/0", ""):
