@@ -10,6 +10,7 @@ submodule.  Each access reads the defining module's current binding.
 """
 
 import importlib
+import sys
 
 _EXPORTS = {
     "errors": "CapacityError DomainError ParseError PreconditionError ShapeError SupertropError",
@@ -36,8 +37,9 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     """A public name or a library module, imported on demand.  The result
     is not stored here, so a name always reads its module's binding."""
-    if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
-    if name in _MODULE_OF:
-        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = name if name in _EXPORTS else _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    full = f"{__name__}.{module}"
+    loaded = sys.modules.get(full) or importlib.import_module(full)
+    return loaded if module is name else getattr(loaded, name)

@@ -1,11 +1,13 @@
 """Strict bilinear forms given by Gram matrices.
 
-Evaluation is B(v, w) = v . (G w), one ``scalars.dot`` after one
-matrix-vector product; the semiring is distributive, so the value is that
-of the strict expansion sum v_i g_ij w_j.  ``evaluate`` is the one
-single-pairing call; the pair classification, the Gram-determinant
-dependence test, ``gs_step`` and the rank-2 g-isotropic strip read every
-pairing among their vectors from one ``gram_of`` grid.
+Every pairing here is folded by the integer kernel ``scalars._pairings``,
+which scales once per call; nothing calls ``Matrix.apply`` or ``dot``.
+Evaluation is B(v, w) = v . (G w), one call for G w and one for the
+pairing; the semiring is distributive, so the value is that of the strict
+expansion sum v_i g_ij w_j.  ``evaluate`` is the one single-pairing call;
+the pair classification, the Gram-determinant dependence test,
+``gs_step`` and the rank-2 g-isotropic strip read every pairing among
+their vectors from one ``gram_of`` grid, two calls for k vectors.
 
 ``gram_schmidt`` and ``decompose`` share one orthogonalization sweep,
 whose state keeps (b, G b, <b,b>) for each accepted b, so G is applied
@@ -27,7 +29,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import DomainError, PreconditionError, ShapeError
 from .matrices import Matrix, det, independent
-from .scalars import ONE, ZERO, Record, Scalar, Vector, dot, lin_comb
+from .scalars import ONE, ZERO, Record, Scalar, Vector, _pairings, lin_comb
 
 
 class BilinearForm(Record):
@@ -55,7 +57,7 @@ def evaluate(form: BilinearForm, v: Vector, w: Vector) -> Scalar:
     n = form.dim
     if v.dim != n or w.dim != n:
         raise ShapeError("vector dimension does not match the form")
-    return dot(v, form.gram.apply(w))
+    return _pairings([v], _pairings([w], form.gram.entries))[0][0]
 
 
 def _require_dims(form: BilinearForm, vs: Sequence[Vector]) -> None:
@@ -68,8 +70,7 @@ def gram_of(form: BilinearForm, vs: Sequence[Vector]) -> Matrix:
     if not vs:
         raise ShapeError("Gram grid of an empty vector list")
     _require_dims(form, vs)
-    gws = [form.gram.apply(w) for w in vs]
-    return Matrix(tuple(tuple(dot(v, gw) for gw in gws) for v in vs))
+    return Matrix(_pairings(vs, _pairings(vs, form.gram.entries)))
 
 
 class VectorClass(Record):
@@ -93,14 +94,11 @@ def normalize(form: BilinearForm, v: Vector) -> Vector:
 
 
 def is_supertropically_symmetric(form: BilinearForm) -> bool:
-    """g_ij + g_ji lands in the ghost ideal for all i, j; for strict forms
-    this entry condition is equivalent to the vector-level one."""
-    g = form.gram
-    return all(
-        (g[i, j] + g[j, i]).in_ghost_ideal
-        for i in range(form.dim)
-        for j in range(form.dim)
-    )
+    """g_ij + g_ji lands in the ghost ideal for all i <= j, so for all i, j;
+    for strict forms this entry condition is equivalent to the vector-level
+    one."""
+    g, n = form.gram.entries, form.dim
+    return all((g[i][j] + g[j][i]).in_ghost_ideal for i in range(n) for j in range(i, n))
 
 
 def _require_symmetric(form: BilinearForm) -> None:
@@ -222,14 +220,10 @@ def gs_step(form: BilinearForm, base: Sequence[Vector], v: Vector) -> GSResult:
     k = len(base)
     if any(i != j and not g[i, j].in_ghost_ideal for i in range(k) for j in range(k)):
         raise PreconditionError("base is not pairwise g-orthogonal")
-    betas = []
-    for j in range(k):
-        q = g[j, j]
+    betas = [g[j, j] for j in range(k)]
+    for q in betas:
         if not q.is_tangible:
-            raise PreconditionError(
-                f"base self-pairing {q} is not tangible (isotropic or zero)"
-            )
-        betas.append(q.tangible_lift())
+            raise PreconditionError(f"base self-pairing {q} is not tangible (isotropic or zero)")
 
     coeffs = [g[k, j] * beta.inv() for j, beta in enumerate(betas)]
     projected = lin_comb(coeffs, list(base))
@@ -242,36 +236,40 @@ def gs_step(form: BilinearForm, base: Sequence[Vector], v: Vector) -> GSResult:
 
 
 def _correct(state: list, v: Vector) -> Vector:
-    """gs_step's correction of v against the sweep state."""
+    """gs_step's correction v + sum_j (<v,b_j>/beta_j) b_j against the sweep state."""
     if not state:
         return v
-    coeffs = [dot(v, gb) * beta.inv() for _, gb, beta in state]
-    return v + lin_comb(coeffs, [b for b, _, _ in state])
+    pairs = _pairings([v], [gb for _, gb, _ in state])[0]
+    return lin_comb([ONE, *(p * beta.inv() for p, (_, _, beta) in zip(pairs, state))],
+                    [v, *(b for b, _, _ in state)])
 
 
-def _sweep(form: BilinearForm, state: list, vs: Sequence[Vector]) -> List[Vector]:
+def _sweep(form: BilinearForm, state: list, vs: Sequence[Vector]) -> List[Tuple[Vector, Vector]]:
     """One orthogonalization pass in input order over a state of
     (b, G b, <b,b>) triples, applying G once per vector: v is corrected
     against the state, and its correction c joins it when <c,c> is tangible
     and c is Cauchy-Schwartz against every member.  Returns the rejected
-    originals.
+    originals, each with its correction.
 
     So every <b,b> in the state is tangible, and members need no re-check
     of g-orthogonality: for a member b, <c,b> = <v,b> + <v,b> + (ghost-ideal
     terms from the other members) and <b,c> = <b,v> + <v,b> + (ghost-ideal
     terms), which the caller's symmetry check puts in the ghost ideal."""
-    rejected: List[Vector] = []
+    rejected = []
+    n = form.dim
     for v in vs:
         c = _correct(state, v)
-        gc = form.gram.apply(c)
-        cc = dot(c, gc)
+        # One call gives G c and every <c,b> = c . G b, a second <c,c> and every <b,c>.
+        pairs = _pairings([c], [*form.gram.entries, *(gb for _, gb, _ in state)])[0]
+        gc = pairs[:n]
+        cc, *bc = [p for p, in _pairings([c, *(b for b, _, _ in state)], [gc])]
         if cc.is_tangible and all(
-            _pair(cc, dot(c, gb), dot(b, gc), beta).cauchy_schwartz
-            for b, gb, beta in state
+            _pair(cc, c_b, b_c, beta).cauchy_schwartz
+            for c_b, b_c, (_, _, beta) in zip(pairs[n:], bc, state)
         ):
             state.append((c, gc, cc))
         else:
-            rejected.append(v)
+            rejected.append((v, c))
     return rejected
 
 
@@ -285,7 +283,7 @@ def gram_schmidt(
     _require_symmetric(form)
     _require_dims(form, vs)
     state: list = []
-    leftover = _sweep(form, state, vs)
+    leftover = [v for v, _ in _sweep(form, state, vs)]
     # Rescaling a base vector by a tangible s changes neither a correction
     # (<v,sb>/(s^2 beta) sb = <v,b>/beta b) nor a Cauchy-Schwartz test, so
     # normalizing after the sweep gives what normalizing on acceptance would.
@@ -376,6 +374,7 @@ def decompose(
     while pending:
         deferred = _sweep(form, state, pending)
         if len(deferred) == len(pending):
-            break
-        pending = deferred
-    return [c for c, _, _ in state], [_correct(state, v) for v in pending]
+            # This pass accepted nothing, so it corrected against the final state.
+            return [c for c, _, _ in state], [c for _, c in deferred]
+        pending = [v for v, _ in deferred]
+    return [c for c, _, _ in state], []

@@ -30,11 +30,13 @@ class Matrix(Record):
     __slots__ = ("entries",)  # tuple of row tuples
 
     def __init__(self, entries) -> None:
-        rows = tuple(tuple(r) for r in entries)
+        rows = tuple(map(tuple, entries))
         if not rows or not rows[0]:
             raise ShapeError("matrices must have positive dimensions")
-        if any(len(r) != len(rows[0]) for r in rows):
+        if len(set(map(len, rows))) != 1:
             raise ShapeError("ragged rows")
+        if not all(map(isinstance, itertools.chain.from_iterable(rows), itertools.repeat(Scalar))):
+            raise DomainError("matrix entries must be Scalars")
         object.__setattr__(self, "entries", rows)
 
     @property

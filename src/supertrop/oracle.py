@@ -166,28 +166,14 @@ class TrialReport(Record):
         return self.verdict == "pass"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "suite": self.suite,
-                "trials": self.trials,
-                "seed": self.seed,
-                "verdict": self.verdict,
-                "failures": [list(f) for f in self.failures],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields["failures"] = [list(f) for f in self.failures]
+        return json.dumps(fields, indent=2, sort_keys=True)
 
 
 def _report(suite: str, trials: int, seed: int, failures: List[Tuple[str, str, str]]) -> TrialReport:
-    failures = sorted(failures)
-    return TrialReport(
-        suite=suite,
-        trials=trials,
-        seed=seed,
-        failures=tuple(failures),
-        verdict="pass" if not failures else "counterexample",
-    )
+    failures = tuple(sorted(failures))
+    return TrialReport(suite, trials, seed, failures, "counterexample" if failures else "pass")
 
 
 # -- suites ----------------------------------------------------------------
@@ -256,14 +242,9 @@ def _suite_quasi_identity(trials: int, seed: int) -> List[Tuple[str, str, str]]:
 
 
 def _dual_pattern_ok(grid: Matrix) -> bool:
-    n = grid.rows
-    for i in range(n):
-        for j in range(n):
-            if i == j and grid[i, j] != ONE:
-                return False
-            if i != j and not grid[i, j].in_ghost_ideal:
-                return False
-    return True
+    """Diagonal exactly one, off-diagonal in the ghost ideal."""
+    return all(e == ONE if i == j else e.in_ghost_ideal
+               for i, row in enumerate(grid.entries) for j, e in enumerate(row))
 
 
 def _suite_dual_base(trials: int, seed: int) -> List[Tuple[str, str, str]]:
@@ -294,12 +275,7 @@ def _suite_double_dual(trials: int, seed: int) -> List[Tuple[str, str, str]]:
         a = sample("closed-base", n, seed, i)
         d = du.dual_base(a)
         tag = f"A=[{a}]".replace("\n", "; ")
-        grid = Matrix(
-            tuple(
-                tuple(du.apply(f, a.col(j)) for j in range(n))
-                for f in d.functionals
-            )
-        )
+        grid = Matrix(tuple(tuple(du.apply(f, b) for b in a.columns()) for f in d.functionals))
         if not _dual_pattern_ok(grid):
             failures.append((tag, "double-dual grid pattern", str(grid).replace("\n", "; ")))
         if rank(grid) != n:

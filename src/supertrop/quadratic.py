@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .bilinear import BilinearForm, evaluate, is_supertropically_symmetric
 from .errors import DomainError, PreconditionError, ShapeError
 from .matrices import Matrix, independent
-from .scalars import ZERO, Record, Scalar, Vector, check_trials, dot, random_scalar
+from .scalars import ZERO, Record, Scalar, Vector, _pairings, check_trials, random_scalar
 
 STRICT = "strict"
 QUASILINEAR = "quasilinear"
@@ -60,7 +60,7 @@ def q_eval(q: QuadraticForm, v: Vector) -> Scalar:
     if v.dim != q.dim:
         raise ShapeError("vector dimension does not match the quadratic form")
     if q.diagonal is not None:
-        return dot([x * x for x in v], q.diagonal)
+        return _pairings([[x * x for x in v]], [q.diagonal])[0][0]
     return evaluate(q.form, v, v)
 
 
@@ -127,12 +127,8 @@ def is_hyperbolic_plane(form: BilinearForm, b1: Vector, b2: Vector) -> bool:
     Q(b1) + Q(b2)."""
     if not independent([b1, b2]):
         raise PreconditionError("hyperbolic-plane test needs an independent pair")
-    q1 = evaluate(form, b1, b1)
-    q2 = evaluate(form, b2, b2)
-    if not (q1.in_ghost_ideal and q2.in_ghost_ideal):
-        return False
-    s = b1 + b2
-    return evaluate(form, s, s).nu_cmp(q1 + q2) > 0
+    q1, q2, q12 = (evaluate(form, b, b) for b in (b1, b2, b1 + b2))
+    return q1.in_ghost_ideal and q2.in_ghost_ideal and q12.nu_cmp(q1 + q2) > 0
 
 
 def orthogonal_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:

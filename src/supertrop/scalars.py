@@ -10,19 +10,24 @@ Text grammar: ``-inf`` | RATIONAL | RATIONAL``g`` where RATIONAL is an
 optionally signed integer or ``p/q`` with ``q > 0``.
 ``parse_scalar(str(x)) == x`` always.
 
-``dot`` is the one sum of products: matrix products, functionals, the
-bilinear pairing, the diagonal quadratic form and linear combinations all
-fold through it.  ``random_scalar`` is the one scalar sampler: the suites'
-``sample`` and the sampled checks in ``dual`` and ``quadratic`` all draw
-through it, and all reject a trial count below 1 through ``check_trials``.
+``dot`` is the sum of products behind matrix products and functionals.
+``_pairings`` folds a grid of such sums on ints, scaling once per call:
+the bilinear pairing, the orthogonalization sweep, the diagonal quadratic
+form and linear combinations go through it.  ``random_scalar`` is the one
+scalar sampler: the suites' ``sample`` and the sampled checks in ``dual``
+and ``quadratic`` all draw through it, and all reject a trial count below
+1 through ``check_trials``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import repeat
+from operator import add
+from typing import List, Optional, Sequence
 
 from .errors import DomainError, ParseError, ShapeError
 
@@ -254,6 +259,42 @@ def dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
     return ZERO if best is None else Scalar(best, ghost)
 
 
+def _pairings(rows: Sequence[Sequence[Scalar]], cols: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
+    """[[dot(x, y) for y in cols] for x in rows], folded on ints.  The
+    nu-values are scaled once by the LCM of their denominators, an
+    automorphism of (Q, max, +), and a scalar of scaled value k is coded
+    4k + ghost.  A sum of two codes is 4 * (the scaled product) + (its
+    ghost factors, 0-2), so the largest sum is a product of largest
+    nu-value, a ghost if its low bits are not 0 or the sum is attained
+    twice.  ``-inf`` is coded so low that every product through it lies
+    below 2 * (the least code)."""
+    seqs = (*rows, *cols)
+    if any(len(s) != len(seqs[0]) for s in seqs):
+        raise ShapeError("dot product length mismatch")
+    scale = math.lcm(*{q.denominator for s in seqs for x in s if (q := x.value) is not None})
+    one = scale == 1
+    codes = [[None if (q := x.value) is None else
+              4 * (q.numerator if one else q.numerator * (scale // q.denominator)) + x.ghost
+              for x in s] for s in seqs]
+    real = [c for s in codes for c in s if c is not None]
+    if not real:
+        return [[ZERO] * len(cols) for _ in rows]
+    floor = 2 * min(real)
+    low = floor - max(real) - 1
+    codes = [[low if c is None else c for c in s] for s in codes]
+
+    def pair(x: List[int], y: List[int]) -> Scalar:
+        ps = list(map(add, x, y))
+        best = max(ps)
+        if best < floor:
+            return ZERO
+        return Scalar(Fraction(best >> 2) if one else Fraction(best >> 2, scale),
+                      bool(best & 3) or ps.count(best) > 1)
+
+    ys = codes[len(rows):]
+    return [[pair(x, y) for y in ys] for x in codes[:len(rows)]]
+
+
 ZERO = Scalar(None, False)
 ONE = Scalar(Fraction(0), False)
 E = Scalar(Fraction(0), True)  # the ghost unit e = ghost 0
@@ -307,6 +348,8 @@ class Vector(Record):
         entries = tuple(entries)
         if not entries:
             raise ShapeError("vectors must have positive dimension")
+        if not all(map(isinstance, entries, repeat(Scalar))):
+            raise DomainError("vector entries must be Scalars")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -383,4 +426,4 @@ def lin_comb(coeffs: Sequence[Scalar], vectors: Sequence[Vector]) -> Vector:
     dim = vectors[0].dim
     if any(v.dim != dim for v in vectors):
         raise ShapeError("vector dimension mismatch")
-    return Vector(tuple(dot(coeffs, [v[i] for v in vectors]) for i in range(dim)))
+    return Vector(_pairings([coeffs], list(zip(*(v.entries for v in vectors))))[0])

@@ -1,5 +1,6 @@
 """Bilinear forms: evaluation, classification, Gram-Schmidt, strip, decompose."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from supertrop import (
     radical_member,
     vector,
 )
+from supertrop import bilinear
 from supertrop.bilinear import GSResult, PairClass, StripResult, _corner_singular
 from supertrop.matrices import independent
 from supertrop.oracle import sample
@@ -116,6 +118,9 @@ def test_symmetry():
         BilinearForm(parse_matrix("-inf 0\n-inf -inf"))
     )
     assert is_supertropically_symmetric(BilinearForm(parse_matrix("1 3\n3g 2")))
+    # The non-ghost sum g_ij + g_ji comes from one entry, below or above the diagonal.
+    for text in ("0 -inf 1g\n-inf 0 2g\n1g 5 0", "0 -inf 1g\n-inf 0 5\n1g 2g 0"):
+        assert not is_supertropically_symmetric(BilinearForm(parse_matrix(text)))
 
 
 def test_alternate():
@@ -611,19 +616,28 @@ def test_sweep_matches_pre_sweep_gram_schmidt_and_decompose():
 
 
 def test_sweep_applies_the_gram_once_per_vector(monkeypatch):
+    """G is applied by the pairing kernel, with the Gram rows as its first
+    columns; ``calls`` collects the vectors of each such call."""
     calls = []
-    apply = Matrix.apply
-    monkeypatch.setattr(Matrix, "apply", lambda g, v: calls.append(v) or apply(g, v))
+    pairings = bilinear._pairings
+
+    def counted(rows, cols):
+        if any(len(cols) >= len(g) and all(map(operator.is_, cols, g)) for g in grams):
+            calls.extend(rows)
+        return pairings(rows, cols)
+
+    monkeypatch.setattr(bilinear, "_pairings", counted)
+    monkeypatch.setattr(Matrix, "apply", None)  # the form layer never calls it
     for n in range(2, 7):
         rng = random.Random(f"applies:{n}")
         form = sample_form(rng, n, "sym")
+        diagonal = BilinearForm(Matrix.from_rows(
+            [T(i) if i == j else ZERO for j in range(n)] for i in range(n)))
+        grams = (form.gram.entries, diagonal.gram.entries)
         vs = [sample_vector(rng, n) for _ in range(n + 2)]
         calls.clear()
         gram_schmidt(form, vs)
-        assert len(calls) <= len(vs)
-        diagonal = [[T(i) if i == j else ZERO for j in range(n)] for i in range(n)]
+        assert 0 < len(calls) <= len(vs)
         calls.clear()
-        aniso, alternate = decompose(
-            BilinearForm(Matrix.from_rows(diagonal)), Matrix.identity(n).columns()
-        )
+        aniso, alternate = decompose(diagonal, Matrix.identity(n).columns())
         assert (len(aniso), alternate, len(calls)) == (n, [], n)

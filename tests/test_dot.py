@@ -1,4 +1,5 @@
-"""The one sum-of-products kernel against the folds it replaced."""
+"""The sum-of-products kernels against the folds they replaced: ``dot``
+and the integer pairing grid ``_pairings``."""
 
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from supertrop import ZERO, BilinearForm, Matrix, Scalar, ShapeError, Vector, evaluate
-from supertrop.scalars import dot
+from supertrop.scalars import _pairings, dot
 
 T = Scalar.tangible
 G = Scalar.ghost_of
@@ -73,3 +74,48 @@ def test_evaluate_matches_strict_double_sum_sampled():
         form = BilinearForm(Matrix.from_rows([_draw(rng) for _ in range(n)] for _ in range(n)))
         v, w = (Vector(tuple(_draw(rng) for _ in range(n))) for _ in range(2))
         assert evaluate(form, v, w) == _strict_double_sum(form, v, w), (form.gram, v, w)
+
+
+def _grid(rows, cols):
+    return [[dot(x, y) for y in cols] for x in rows]
+
+
+def test_pairings_match_dot_sampled():
+    rng = random.Random("pairings-vs-dot")
+    denominators, ties = set(), 0
+    for i in range(1500):
+        n = 1 + i % 7
+        rows = [[_draw(rng) for _ in range(n)] for _ in range(1 + i % 3)]
+        cols = [[_draw(rng) for _ in range(n)] for _ in range(1 + i % 4)]
+        rows.append([ZERO] * n)  # all -inf: every pairing is ZERO
+        # Every finite product of row 0 with this column is 5: a forced tie.
+        cols.append([ZERO if x.is_zero else T(5 - x.value) for x in rows[0]])
+        got = _pairings(rows, cols)
+        assert got == _grid(rows, cols), (rows, cols)
+        assert got[-1] == [ZERO] * len(cols)
+        if sum(not x.is_zero for x in rows[0]) >= 2:
+            assert got[0][-1] == G(5)
+            ties += 1
+        denominators |= {x.value.denominator for r in rows + cols for x in r if not x.is_zero}
+    assert denominators == {1, 2, 3, 4, 5, 6}
+    assert ties >= 500
+
+
+def test_pairings_edge_shapes():
+    assert _pairings([], [[T(1)]]) == []
+    assert _pairings([[T(1)], [T(2)]], []) == [[], []]
+    assert _pairings([[]], [[], []]) == [[ZERO, ZERO]]
+    half = T(Fraction(1, 2))
+    assert _pairings([[half, G(1)]], [[half, G(0)], [T(Fraction(-1, 3)), ZERO]]) == [
+        [G(1), T(Fraction(1, 6))]
+    ]
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ([[T(1)]], [[T(1), T(2)]]),
+    ([[T(1), T(2)], [T(1)]], [[T(1), T(2)]]),
+    ([[T(1), T(2)]], [[T(1), T(2)], [ZERO]]),
+])
+def test_pairings_length_mismatch(rows, cols):
+    with pytest.raises(ShapeError, match="dot product length mismatch"):
+        _pairings(rows, cols)

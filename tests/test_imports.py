@@ -69,6 +69,17 @@ def test_every_public_name_is_its_modules_object():
     assert "det" not in vars(supertrop)  # resolved, not stored
 
 
+def test_a_patched_binding_is_read_through_the_package(monkeypatch):
+    from supertrop import matrices
+
+    assert supertrop.det is matrices.det
+    monkeypatch.setattr(matrices, "det", sentinel := object())
+    assert supertrop.det is sentinel
+    monkeypatch.undo()
+    assert supertrop.det is matrices.det
+    assert "det" not in vars(supertrop)
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         supertrop.no_such_name

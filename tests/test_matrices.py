@@ -56,6 +56,12 @@ def test_ragged_matrix_raises_shape_error():
         Matrix(((T(0), T(1)), (T(2),)))
 
 
+@pytest.mark.parametrize("rows", [((1, 2), (3, 4)), ((ONE, ZERO), (ONE, Fraction(0))), ((None,),)])
+def test_matrix_rejects_non_scalar_entries(rows):
+    with pytest.raises(DomainError, match="matrix entries must be Scalars"):
+        Matrix(rows)
+
+
 # -- multiplication --------------------------------------------------------
 
 

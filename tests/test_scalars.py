@@ -39,6 +39,12 @@ def test_empty_vector_raises_shape_error():
         Vector(())
 
 
+@pytest.mark.parametrize("entries", [(1, 2), (ONE, Fraction(1)), (ONE, "0"), (ONE, None)])
+def test_vector_rejects_non_scalar_entries(entries):
+    with pytest.raises(DomainError, match="vector entries must be Scalars"):
+        Vector(entries)
+
+
 # -- addition --------------------------------------------------------------
 
 
