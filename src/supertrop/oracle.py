@@ -8,8 +8,11 @@ reports sigma and one tie certificate.  The ``det-engines`` suite holds
 re-checks every strip and the ``decompose`` suite samples every alternate
 span, so library calls run no self-checks.
 
-Everything here is deterministic in (seed, index): replaying a suite with
-the same name, trial count, and seed reproduces the identical report.
+Each suite is one trial, ``(seed, i, n) -> (tag, expected, got)`` failures
+drawn only from samplers keyed on (seed, i), held in ``SUITES`` beside the
+sizes n it cycles through.  ``run_suite`` is the one loop, so a report
+replays from (name, trials, seed) and trial i run alone gives the failures
+it gives inside the run.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import bilinear as bl
 from . import dual as du
@@ -32,7 +35,6 @@ from .matrices import (
     close,
     det,
     double_pseudo,
-    independent,
     mat_mul,
     minor_grid,
     pseudo_inverse,
@@ -171,74 +173,57 @@ class TrialReport(Record):
         return json.dumps(fields, indent=2, sort_keys=True)
 
 
-def _report(suite: str, trials: int, seed: int, failures: List[Tuple[str, str, str]]) -> TrialReport:
-    failures = tuple(sorted(failures))
-    return TrialReport(suite, trials, seed, failures, "counterexample" if failures else "pass")
+# -- suites: one trial each, (seed, i, n) -> (tag, expected, got) failures --
+
+Failure = Tuple[str, str, str]
 
 
-# -- suites ----------------------------------------------------------------
+def _frobenius(seed: int, i: int, n: None) -> Iterator[Failure]:
+    a = sample("scalar", None, seed, 2 * i)
+    b = sample("scalar", None, seed, 2 * i + 1)
+    for m in range(1, 6):
+        s = a + b
+        lhs = s.power(m) if not s.is_zero else ZERO
+        pa = a.power(m) if not a.is_zero else ZERO
+        pb = b.power(m) if not b.is_zero else ZERO
+        rhs = pa + pb
+        if lhs != rhs:
+            yield f"a={a} b={b} m={m}", str(rhs), str(lhs)
 
 
-def _suite_frobenius(trials: int, seed: int) -> List[Tuple[str, str, str]]:
-    failures = []
-    for i in range(trials):
-        a = sample("scalar", None, seed, 2 * i)
-        b = sample("scalar", None, seed, 2 * i + 1)
-        for m in range(1, 6):
-            s = a + b
-            lhs = s.power(m) if not s.is_zero else ZERO
-            pa = a.power(m) if not a.is_zero else ZERO
-            pb = b.power(m) if not b.is_zero else ZERO
-            rhs = pa + pb
-            if lhs != rhs:
-                failures.append((f"a={a} b={b} m={m}", str(rhs), str(lhs)))
-    return failures
+def _det_engines(seed: int, i: int, n: int) -> Iterator[Failure]:
+    m = sample("matrix", n, seed, i)
+    got, want = det(m), brute_force_det(m)
+    tag = f"matrix=[{m}]"
+    if got.value != want.value:
+        yield tag, str(want.value), str(got.value)
+    mine, all_optimal = sorted(got.witnesses), sorted(want.witnesses)
+    if not got.witnesses <= want.witnesses:
+        yield f"{tag} witnesses", f"subset of {all_optimal}", str(mine)
+    for k in (1, 2):
+        if (len(mine) >= k) != (len(all_optimal) >= k):
+            yield f"{tag} witness count", str(len(all_optimal)), str(len(mine))
+            break
 
 
-def _suite_det_engines(trials: int, seed: int) -> List[Tuple[str, str, str]]:
-    failures = []
-    sizes = (2, 3, 4, 5, 6)
-    for i in range(trials):
-        n = sizes[i % len(sizes)]
-        m = sample("matrix", n, seed, i)
-        got, want = det(m), brute_force_det(m)
-        tag = f"matrix=[{m}]".replace("\n", "; ")
-        if got.value != want.value:
-            failures.append((tag, str(want.value), str(got.value)))
-        mine, all_optimal = sorted(got.witnesses), sorted(want.witnesses)
-        if not got.witnesses <= want.witnesses:
-            failures.append((f"{tag} witnesses", f"subset of {all_optimal}", str(mine)))
-        for k in (1, 2):
-            if (len(mine) >= k) != (len(all_optimal) >= k):
-                failures.append((f"{tag} witness count", str(len(all_optimal)), str(len(mine))))
-                break
-    return failures
-
-
-def _suite_quasi_identity(trials: int, seed: int) -> List[Tuple[str, str, str]]:
-    failures = []
-    sizes = (2, 3, 4, 5)
-    for i in range(trials):
-        n = sizes[i % len(sizes)]
-        a = sample("nonsingular-matrix", n, seed, i)
-        i_a, i_a_prime = quasi_identities(a)
-        tag = f"A=[{a}]".replace("\n", "; ")
-        adj, grid, pinv = adjoint(a), minor_grid(a, brute_force_det), pseudo_inverse(a)
-        if adj != grid:
-            failures.append((tag, f"adjoint [{grid}]".replace("\n", "; "), f"[{adj}]".replace("\n", "; ")))
-        for name, got, want in (
-            ("A A^nabla", i_a, mat_mul(a, pinv)), ("A^nabla A", i_a_prime, mat_mul(pinv, a)),
-            ("close", close(a), mat_mul(mat_mul(a, pinv), a)),
-            ("A^nabla nabla", double_pseudo(a), mat_mul(pinv, mat_mul(a, pinv))),
-        ):
-            if got != want:
-                failures.append((tag, f"{name} [{want}]".replace("\n", "; "),
-                                 f"[{got}]".replace("\n", "; ")))
-        if not is_quasi_identity(i_a):
-            failures.append((tag, "I_A quasi-identity", "violated"))
-        if not is_quasi_identity(i_a_prime):
-            failures.append((tag, "I'_A quasi-identity", "violated"))
-    return failures
+def _quasi_identity(seed: int, i: int, n: int) -> Iterator[Failure]:
+    a = sample("nonsingular-matrix", n, seed, i)
+    i_a, i_a_prime = quasi_identities(a)
+    tag = f"A=[{a}]"
+    adj, grid, pinv = adjoint(a), minor_grid(a, brute_force_det), pseudo_inverse(a)
+    if adj != grid:
+        yield tag, f"adjoint [{grid}]", f"[{adj}]"
+    for name, got, want in (
+        ("A A^nabla", i_a, mat_mul(a, pinv)), ("A^nabla A", i_a_prime, mat_mul(pinv, a)),
+        ("close", close(a), mat_mul(mat_mul(a, pinv), a)),
+        ("A^nabla nabla", double_pseudo(a), mat_mul(pinv, mat_mul(a, pinv))),
+    ):
+        if got != want:
+            yield tag, f"{name} [{want}]", f"[{got}]"
+    if not is_quasi_identity(i_a):
+        yield tag, "I_A quasi-identity", "violated"
+    if not is_quasi_identity(i_a_prime):
+        yield tag, "I'_A quasi-identity", "violated"
 
 
 def _dual_pattern_ok(grid: Matrix) -> bool:
@@ -247,42 +232,31 @@ def _dual_pattern_ok(grid: Matrix) -> bool:
                for i, row in enumerate(grid.entries) for j, e in enumerate(row))
 
 
-def _suite_dual_base(trials: int, seed: int) -> List[Tuple[str, str, str]]:
-    failures = []
-    sizes = (2, 3, 4, 5)
-    for i in range(trials):
-        n = sizes[i % len(sizes)]
-        a = sample("closed-base", n, seed, i)
-        d = du.dual_base(a)
-        tag = f"A=[{a}]".replace("\n", "; ")
-        grid, pinv = du.dual_eval_matrix(d), pseudo_inverse(a)
-        rows, want = Matrix.from_rows(f.row for f in d.functionals), mat_mul(pinv, mat_mul(a, pinv))
-        if rows != want:
-            failures.append((tag, f"rows A^nabla nabla [{want}]".replace("\n", "; "),
-                             f"[{rows}]".replace("\n", "; ")))
-        if not _dual_pattern_ok(grid):
-            failures.append((tag, "dual grid pattern", str(grid).replace("\n", "; ")))
-        if du.dual_rank(d) != n:
-            failures.append((tag, f"dual rank {n}", str(du.dual_rank(d))))
-    return failures
+def _dual_base(seed: int, i: int, n: int) -> Iterator[Failure]:
+    a = sample("closed-base", n, seed, i)
+    d = du.dual_base(a)
+    tag = f"A=[{a}]"
+    grid, pinv = du.dual_eval_matrix(d), pseudo_inverse(a)
+    rows, want = Matrix.from_rows(f.row for f in d.functionals), mat_mul(pinv, mat_mul(a, pinv))
+    if rows != want:
+        yield tag, f"rows A^nabla nabla [{want}]", f"[{rows}]"
+    if not _dual_pattern_ok(grid):
+        yield tag, "dual grid pattern", str(grid)
+    if du.dual_rank(d) != n:
+        yield tag, f"dual rank {n}", str(du.dual_rank(d))
 
 
-def _suite_double_dual(trials: int, seed: int) -> List[Tuple[str, str, str]]:
-    failures = []
-    sizes = (2, 3, 4, 5)
-    for i in range(trials):
-        n = sizes[i % len(sizes)]
-        a = sample("closed-base", n, seed, i)
-        d = du.dual_base(a)
-        tag = f"A=[{a}]".replace("\n", "; ")
-        grid = Matrix(tuple(tuple(du.apply(f, b) for b in a.columns()) for f in d.functionals))
-        if not _dual_pattern_ok(grid):
-            failures.append((tag, "double-dual grid pattern", str(grid).replace("\n", "; ")))
-        if rank(grid) != n:
-            failures.append((tag, f"double-dual rank {n}", str(rank(grid))))
-        if du.ghost_monic_verdict(a) != du.PROVED:
-            failures.append((tag, "ghost monic proved", du.ghost_monic_verdict(a)))
-    return failures
+def _double_dual(seed: int, i: int, n: int) -> Iterator[Failure]:
+    a = sample("closed-base", n, seed, i)
+    d = du.dual_base(a)
+    tag = f"A=[{a}]"
+    grid = Matrix(tuple(tuple(du.apply(f, b) for b in a.columns()) for f in d.functionals))
+    if not _dual_pattern_ok(grid):
+        yield tag, "double-dual grid pattern", str(grid)
+    if rank(grid) != n:
+        yield tag, f"double-dual rank {n}", str(rank(grid))
+    if du.ghost_monic_verdict(a) != du.PROVED:
+        yield tag, "ghost monic proved", du.ghost_monic_verdict(a)
 
 
 def _cs_base_gram(rng: random.Random, n: int) -> Matrix:
@@ -300,54 +274,42 @@ def _cs_base_gram(rng: random.Random, n: int) -> Matrix:
     return Matrix(tuple(tuple(r) for r in grid))
 
 
-def _suite_gram_schmidt(trials: int, seed: int) -> List[Tuple[str, str, str]]:
-    failures = []
-    sizes = (2, 3, 4)
-    for i in range(trials):
-        rng = _rng(seed, i, "gs")
-        n = sizes[i % len(sizes)]
-        form = bl.BilinearForm(_cs_base_gram(rng, n))
-        candidates = [
-            sample("vector", n, seed, 100 * i + k, ghost_density=0.1)
-            for k in range(n)
-        ]
-        base, _ = bl.gram_schmidt(form, candidates)
-        v = sample("vector", n, seed, 100 * i + 50, ghost_density=0.1)
-        res = bl.gs_step(form, base, v)
-        tag = f"gram=[{form.gram}] v={v}".replace("\n", "; ")
-        for b in base:
-            if not bl.evaluate(form, res.corrected, b).in_ghost_ideal:
-                failures.append((tag, "corrected g-orthogonal to base", "violated"))
-                break
-        lhs = bl.evaluate(form, res.corrected, res.corrected)
-        rhs = bl.evaluate(form, v, v)
-        for b in base:
-            vb = bl.evaluate(form, v, b)
-            bv = bl.evaluate(form, b, v)
-            beta = bl.evaluate(form, b, b).tangible_lift()
-            rhs = rhs + vb * (vb + bv) * beta.inv()
-        if lhs != rhs:
-            failures.append((tag, str(rhs), str(lhs)))
-    return failures
+def _gram_schmidt(seed: int, i: int, n: int) -> Iterator[Failure]:
+    rng = _rng(seed, i, "gs")
+    form = bl.BilinearForm(_cs_base_gram(rng, n))
+    candidates = [
+        sample("vector", n, seed, 100 * i + k, ghost_density=0.1)
+        for k in range(n)
+    ]
+    base, _ = bl.gram_schmidt(form, candidates)
+    v = sample("vector", n, seed, 100 * i + 50, ghost_density=0.1)
+    res = bl.gs_step(form, base, v)
+    tag = f"gram=[{form.gram}] v={v}"
+    for b in base:
+        if not bl.evaluate(form, res.corrected, b).in_ghost_ideal:
+            yield tag, "corrected g-orthogonal to base", "violated"
+            break
+    lhs = bl.evaluate(form, res.corrected, res.corrected)
+    rhs = bl.evaluate(form, v, v)
+    for b in base:
+        vb = bl.evaluate(form, v, b)
+        bv = bl.evaluate(form, b, v)
+        beta = bl.evaluate(form, b, b).tangible_lift()
+        rhs = rhs + vb * (vb + bv) * beta.inv()
+    if lhs != rhs:
+        yield tag, str(rhs), str(lhs)
 
 
-def _suite_cs1(trials: int, seed: int) -> List[Tuple[str, str, str]]:
-    failures = []
-    sizes = (2, 3, 4)
-    for i in range(trials):
-        rng = _rng(seed, i, "cs1")
-        n = sizes[i % len(sizes)]
-        form = bl.BilinearForm(_cs_base_gram(rng, n))
-        base = [Matrix.identity(n).col(j) for j in range(n)]
-        coeffs_v = [random_scalar(rng, 0.0, 0.0) for _ in range(n)]
-        coeffs_w = [random_scalar(rng, 0.0, 0.0) for _ in range(n)]
-        v = lin_comb(coeffs_v, base)
-        w = lin_comb(coeffs_w, base)
-        pc = bl.pair_class(form, v, w)
-        if not pc.weakly_cauchy_schwartz:
-            tag = f"gram=[{form.gram}] v={v} w={w}".replace("\n", "; ")
-            failures.append((tag, "weakly Cauchy-Schwartz", "violated"))
-    return failures
+def _cs1(seed: int, i: int, n: int) -> Iterator[Failure]:
+    rng = _rng(seed, i, "cs1")
+    form = bl.BilinearForm(_cs_base_gram(rng, n))
+    base = [Matrix.identity(n).col(j) for j in range(n)]
+    coeffs_v = [random_scalar(rng, 0.0, 0.0) for _ in range(n)]
+    coeffs_w = [random_scalar(rng, 0.0, 0.0) for _ in range(n)]
+    v = lin_comb(coeffs_v, base)
+    w = lin_comb(coeffs_w, base)
+    if not bl.pair_class(form, v, w).weakly_cauchy_schwartz:
+        yield f"gram=[{form.gram}] v={v} w={w}", "weakly Cauchy-Schwartz", "violated"
 
 
 def _nondegenerate_2x2(seed: int, index: int) -> bl.BilinearForm:
@@ -387,19 +349,16 @@ def _strip_problem(
     return None
 
 
-def _suite_degen(trials: int, seed: int) -> List[Tuple[str, str, str]]:
-    failures = []
-    for i in range(trials):
-        form = _nondegenerate_2x2(seed, i)
-        e1, e2 = Matrix.identity(2).columns()
-        strip = bl.isotropic_strip(form, e1, e2)
-        tag = f"gram=[{form.gram}]".replace("\n", "; ")
-        if strip.kind == "empty":
-            failures.append((tag, "nonempty strip", "empty"))
-        problem = _strip_problem(form, e1, e2, strip)
-        if problem:
-            failures.append((tag, problem, "violated"))
-    return failures
+def _degen(seed: int, i: int, n: None) -> Iterator[Failure]:
+    form = _nondegenerate_2x2(seed, i)
+    e1, e2 = Matrix.identity(2).columns()
+    strip = bl.isotropic_strip(form, e1, e2)
+    tag = f"gram=[{form.gram}]"
+    if strip.kind == "empty":
+        yield tag, "nonempty strip", "empty"
+    problem = _strip_problem(form, e1, e2, strip)
+    if problem:
+        yield tag, problem, "violated"
 
 
 def _span_isotropic(form: bl.BilinearForm, vectors: Sequence[Vector]) -> bool:
@@ -445,99 +404,94 @@ def _decompose_postconditions(
     return sorted(set(problems))
 
 
-def _suite_decompose(trials: int, seed: int) -> List[Tuple[str, str, str]]:
-    failures = []
-    sizes = (2, 3, 4, 5)
-    for i in range(trials):
-        n = sizes[i % len(sizes)]
-        g = sample("symmetric-gram", n, seed, i)
-        form = bl.BilinearForm(g)
-        if i % 2 == 0:
-            base = Matrix.identity(n).columns()
-        else:
-            base = sample("nonsingular-matrix", n, seed, i + 5_000).columns()
-        problems = _decompose_postconditions(form, base)
-        if problems:
-            tag = f"gram=[{g}] base#{i}".replace("\n", "; ")
-            failures.append((tag, "decompose postconditions", "; ".join(problems)))
-    return failures
+def _decompose(seed: int, i: int, n: int) -> Iterator[Failure]:
+    g = sample("symmetric-gram", n, seed, i)
+    form = bl.BilinearForm(g)
+    if i % 2 == 0:
+        base = Matrix.identity(n).columns()
+    else:
+        base = sample("nonsingular-matrix", n, seed, i + 5_000).columns()
+    problems = _decompose_postconditions(form, base)
+    if problems:
+        yield f"gram=[{g}] base#{i}", "decompose postconditions", "; ".join(problems)
 
 
-def _suite_quadlin(trials: int, seed: int) -> List[Tuple[str, str, str]]:
-    failures = []
-    sizes = (2, 3, 4, 5)
-    for i in range(trials):
-        rng = _rng(seed, i, "quadlin")
-        n = sizes[i % len(sizes)]
-        diag = tuple(random_scalar(rng, 0.25, 0.0) for _ in range(n))
-        q = qd.QuadraticForm.from_diagonal(diag)
-        form = qd.form_from_q(q)
-        tag = f"diag={' '.join(map(str, diag))}"
-        if not bl.is_supertropically_symmetric(form):
-            failures.append((tag, "companion symmetric", "violated"))
-        for k in range(20):
-            v = sample("vector", n, seed, 31 * i + k, ghost_density=0.1)
-            w = sample("vector", n, seed, 31 * i + k + 1_000_000, ghost_density=0.1)
-            b = bl.evaluate(form, v, w)
-            lhs = b.power(2) if not b.is_zero else ZERO
-            rhs = qd.q_eval(q, v) * qd.q_eval(q, w)
-            if lhs != rhs:
-                failures.append((f"{tag} v={v} w={w}", str(rhs), str(lhs)))
-            if rhs.nu_cmp(lhs) < 0:
-                failures.append((f"{tag} v={v} w={w}", "weak Cauchy-Schwartz", "violated"))
-        a = random_scalar(rng, 0.0, 0.0)
-        hyper = qd.hyperbolic_plane(a)
-        e1, e2 = Matrix.identity(2).columns()
-        if not qd.is_hyperbolic_plane(hyper, e1, e2):
-            failures.append((f"hyperbolic a={a}", "is_hyperbolic_plane", "false"))
-        q2 = qd.QuadraticForm.from_diagonal(
-            tuple(random_scalar(rng, 0.0, 0.0) for _ in range(2))
-        )
-        qs = qd.orthogonal_sum(q, q2)
-        v1 = sample("vector", n, seed, 77 * i, ghost_density=0.1)
-        v2 = sample("vector", 2, seed, 77 * i + 1, ghost_density=0.1)
-        joined = Vector(tuple(v1) + tuple(v2))
-        if qd.q_eval(qs, joined) != qd.q_eval(q, v1) + qd.q_eval(q2, v2):
-            failures.append((f"{tag} osum", "Q(v1 (+) v2) = Q1(v1)+Q2(v2)", "violated"))
-    return failures
+def _quadlin(seed: int, i: int, n: int) -> Iterator[Failure]:
+    rng = _rng(seed, i, "quadlin")
+    diag = tuple(random_scalar(rng, 0.25, 0.0) for _ in range(n))
+    q = qd.QuadraticForm.from_diagonal(diag)
+    form = qd.form_from_q(q)
+    tag = f"diag={' '.join(map(str, diag))}"
+    if not bl.is_supertropically_symmetric(form):
+        yield tag, "companion symmetric", "violated"
+    for k in range(20):
+        v = sample("vector", n, seed, 31 * i + k, ghost_density=0.1)
+        w = sample("vector", n, seed, 31 * i + k + 1_000_000, ghost_density=0.1)
+        b = bl.evaluate(form, v, w)
+        lhs = b.power(2) if not b.is_zero else ZERO
+        rhs = qd.q_eval(q, v) * qd.q_eval(q, w)
+        if lhs != rhs:
+            yield f"{tag} v={v} w={w}", str(rhs), str(lhs)
+        if rhs.nu_cmp(lhs) < 0:
+            yield f"{tag} v={v} w={w}", "weak Cauchy-Schwartz", "violated"
+    a = random_scalar(rng, 0.0, 0.0)
+    hyper = qd.hyperbolic_plane(a)
+    e1, e2 = Matrix.identity(2).columns()
+    if not qd.is_hyperbolic_plane(hyper, e1, e2):
+        yield f"hyperbolic a={a}", "is_hyperbolic_plane", "false"
+    q2 = qd.QuadraticForm.from_diagonal(
+        tuple(random_scalar(rng, 0.0, 0.0) for _ in range(2))
+    )
+    qs = qd.orthogonal_sum(q, q2)
+    v1 = sample("vector", n, seed, 77 * i, ghost_density=0.1)
+    v2 = sample("vector", 2, seed, 77 * i + 1, ghost_density=0.1)
+    joined = Vector(tuple(v1) + tuple(v2))
+    if qd.q_eval(qs, joined) != qd.q_eval(q, v1) + qd.q_eval(q2, v2):
+        yield f"{tag} osum", "Q(v1 (+) v2) = Q1(v1)+Q2(v2)", "violated"
 
 
-def _suite_surpass_order(trials: int, seed: int) -> List[Tuple[str, str, str]]:
-    failures = []
-    for i in range(trials):
-        a = sample("scalar", None, seed, 3 * i)
-        b = sample("scalar", None, seed, 3 * i + 1)
-        c = sample("scalar", None, seed, 3 * i + 2)
-        tag = f"a={a} b={b} c={c}"
-        if not a.ghost_surpasses(a):
-            failures.append((tag, "reflexive", "violated"))
-        if a.ghost_surpasses(b) and b.ghost_surpasses(c) and not a.ghost_surpasses(c):
-            failures.append((tag, "transitive", "violated"))
-        if a.ghost_surpasses(b) and b.ghost_surpasses(a) and a != b:
-            failures.append((tag, "antisymmetric", "violated"))
-    return failures
+def _surpass_order(seed: int, i: int, n: None) -> Iterator[Failure]:
+    a = sample("scalar", None, seed, 3 * i)
+    b = sample("scalar", None, seed, 3 * i + 1)
+    c = sample("scalar", None, seed, 3 * i + 2)
+    tag = f"a={a} b={b} c={c}"
+    if not a.ghost_surpasses(a):
+        yield tag, "reflexive", "violated"
+    if a.ghost_surpasses(b) and b.ghost_surpasses(c) and not a.ghost_surpasses(c):
+        yield tag, "transitive", "violated"
+    if a.ghost_surpasses(b) and b.ghost_surpasses(a) and a != b:
+        yield tag, "antisymmetric", "violated"
 
 
-SUITES: Dict[str, Callable[[int, int], List[Tuple[str, str, str]]]] = {
-    "frobenius": _suite_frobenius,
-    "det-engines": _suite_det_engines,
-    "quasi-identity": _suite_quasi_identity,
-    "dual-base": _suite_dual_base,
-    "double-dual": _suite_double_dual,
-    "gram-schmidt": _suite_gram_schmidt,
-    "cs1": _suite_cs1,
-    "degen": _suite_degen,
-    "decompose": _suite_decompose,
-    "quadlin": _suite_quadlin,
-    "surpass-order": _suite_surpass_order,
+# Each suite's trial and the sizes n its trials cycle through.
+SUITES: Dict[str, Tuple[Callable[[int, int, Optional[int]], Iterable[Failure]], tuple]] = {
+    "frobenius": (_frobenius, (None,)),
+    "det-engines": (_det_engines, (2, 3, 4, 5, 6)),
+    "quasi-identity": (_quasi_identity, (2, 3, 4, 5)),
+    "dual-base": (_dual_base, (2, 3, 4, 5)),
+    "double-dual": (_double_dual, (2, 3, 4, 5)),
+    "gram-schmidt": (_gram_schmidt, (2, 3, 4)),
+    "cs1": (_cs1, (2, 3, 4)),
+    "degen": (_degen, (None,)),
+    "decompose": (_decompose, (2, 3, 4, 5)),
+    "quadlin": (_quadlin, (2, 3, 4, 5)),
+    "surpass-order": (_surpass_order, (None,)),
 }
 
 
 def run_suite(name: str, trials: int, seed: int) -> TrialReport:
-    """Run a named suite for ``trials`` >= 1 trials at ``seed``."""
+    """Run a named suite for ``trials`` >= 1 trials at ``seed``: the one
+    loop over the suites.  Trial i runs at size ``sizes[i % len(sizes)]``;
+    each field of each failure shows its newlines as ``"; "``, and the
+    sorted failures make the report."""
     if name not in SUITES:
         raise DomainError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
     check_trials(trials)
-    return _report(name, trials, seed, SUITES[name](trials, seed))
+    trial, sizes = SUITES[name]
+    failures = tuple(sorted(
+        tuple(field.replace("\n", "; ") for field in failure)
+        for i in range(trials) for failure in trial(seed, i, sizes[i % len(sizes)])
+    ))
+    return TrialReport(name, trials, seed, failures, "counterexample" if failures else "pass")

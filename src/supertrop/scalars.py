@@ -76,6 +76,11 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        # Rebuild through the constructor: pickle's and copy's default
+        # slot-state restore would assign the fields one by one.
+        return type(self), self._key()
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
@@ -331,7 +336,9 @@ def random_scalar(
 
 
 def check_trials(trials: int) -> None:
-    """Every sampled check runs at least one trial."""
+    """Every sampled check runs a whole number of trials, at least one."""
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise DomainError(f"trial count must be an integer, got {trials!r}")
     if trials < 1:
         raise DomainError(f"trial count must be at least 1, got {trials}")
 

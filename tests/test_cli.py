@@ -186,7 +186,8 @@ def test_check_json_report(capsys):
 
 
 def test_check_counterexample_exit_3(capsys, monkeypatch):
-    monkeypatch.setitem(supertrop.oracle.SUITES, "frobenius", lambda trials, seed: [("law", "1", "2")])
+    monkeypatch.setitem(supertrop.oracle.SUITES, "frobenius",
+                        (lambda seed, i, n: [("law", "1", "2")] if i == 0 else [], (None,)))
     argv = ["check", "frobenius", "--trials", "2", "--seed", "5"]
     assert run(capsys, *argv) == (
         3, "frobenius: counterexample (2 trials, seed 5)\n  FAIL law: expected 1, got 2\n", "")

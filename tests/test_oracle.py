@@ -1,7 +1,9 @@
 """Brute-force engines, samplers, and suite report determinism."""
 
+import hashlib
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -10,16 +12,25 @@ from supertrop import (
     BilinearForm,
     CapacityError,
     DomainError,
+    GSResult,
     Matrix,
     ONE,
+    QuadraticForm,
     Scalar,
     StripResult,
     ZERO,
+    bilinear,
     brute_force_det,
+    check_map_axioms,
     det,
+    dual,
+    ghost_monic_verdict,
     independent,
     isotropic_strip,
+    oracle,
     parse_matrix,
+    quadratic,
+    quasilinearity_check,
     run_suite,
     sample,
     vector,
@@ -236,3 +247,75 @@ def test_run_suite_needs_a_trial():
     for trials in (0, -3):
         with pytest.raises(DomainError, match="at least 1"):
             run_suite("frobenius", trials, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_suite("frobenius", 2.5, 0),
+    lambda: run_suite("frobenius", "3", 0),
+    lambda: run_suite("frobenius", True, 0),
+    lambda: check_map_axioms(parse_matrix("1 2\n3 4"), 2.5),
+    lambda: ghost_monic_verdict(parse_matrix("1 2\n3 4"), 2.5),
+    lambda: quasilinearity_check(QuadraticForm.from_diagonal((ONE, T(2))), 2.5),
+], ids=["run_suite-float", "run_suite-str", "run_suite-bool", "check_map_axioms",
+        "ghost_monic_verdict", "quasilinearity_check"])
+def test_trial_count_must_be_an_integer(call):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
+
+
+# One planted fault per suite: (module or class, attribute, fake, failures at
+# 12 trials and seed 7, first 16 hex digits of sha256 of the report's JSON).
+# The faults reach the matrix-valued tags and fields, whose newlines
+# run_suite flattens, so the hashes pin each suite's failure text.
+PLANTED = {
+    "frobenius": (Scalar, "power", lambda self, r: Scalar(-self.value * r, self.ghost),
+                  45, "b886208a41582ef7"),
+    "det-engines": (oracle, "det", lambda m: DetResult(ZERO, frozenset()), 20, "a0c4de6d30b2b826"),
+    "quasi-identity": (oracle, "close", lambda a: a, 12, "7b81848ffb1a3dc3"),
+    "dual-base": (dual, "dual_rank", lambda d: 0, 12, "d4de0aecd6b7159d"),
+    "double-dual": (oracle, "rank", lambda a: 0, 12, "415b240ea5e03aeb"),
+    "gram-schmidt": (bilinear, "gs_step", lambda form, base, v: GSResult(v, v, frozenset()),
+                     19, "1cf479e893b92093"),
+    "cs1": (bilinear, "pair_class",
+            lambda form, v, w: types.SimpleNamespace(weakly_cauchy_schwartz=False),
+            12, "b2a007ed60ce306a"),
+    "degen": (bilinear, "isotropic_strip", lambda form, v1, v2: StripResult(kind="empty"),
+              12, "fb36b07dd4f4332c"),
+    "decompose": (bilinear, "decompose", lambda form, base: ([], list(base)),
+                  10, "0a50522f17cd0dcb"),
+    "quadlin": (quadratic, "q_eval", lambda q, v: ZERO, 480, "fdd8b82545060d60"),
+    "surpass-order": (Scalar, "ghost_surpasses", lambda self, other: False,
+                      12, "eef0045126d2a29d"),
+}
+
+
+def test_planted_faults_cover_every_suite():
+    assert sorted(PLANTED) == sorted(SUITES)
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_planted_fault_report_is_pinned(name, monkeypatch):
+    target, attr, fake, count, digest = PLANTED[name]
+    monkeypatch.setattr(target, attr, fake)
+    report = run_suite(name, 12, 7)
+    assert len(report.failures) == count
+    assert hashlib.sha256(report.to_json().encode()).hexdigest()[:16] == digest
+
+
+def test_a_trial_runs_alone(monkeypatch):
+    target, attr, fake, _, _ = PLANTED["quasi-identity"]
+    monkeypatch.setattr(target, attr, fake)
+    trial, sizes = SUITES["quasi-identity"]
+    inside = {}
+
+    def recording(seed, i, n):
+        inside[i] = list(trial(seed, i, n))
+        return inside[i]
+
+    monkeypatch.setitem(SUITES, "quasi-identity", (recording, sizes))
+    report = run_suite("quasi-identity", 12, 7)
+    alone = {i: list(trial(7, i, sizes[i % len(sizes)])) for i in range(12)}
+    flat = sorted(tuple(f.replace("\n", "; ") for f in failure)
+                  for i in range(12) for failure in alone[i])
+    assert flat == list(report.failures)
+    assert alone[5] and alone[5] == inside[5]

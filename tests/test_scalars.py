@@ -1,5 +1,7 @@
 """Scalar and vector arithmetic: frozen values and algebraic laws."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -254,3 +256,28 @@ def test_parse_vector_round_trip():
     v = parse_vector("3 -inf 1/2g")
     assert v == Vector((T(3), ZERO, G(Fraction(1, 2))))
     assert parse_vector(str(v)) == v
+
+
+# -- records ---------------------------------------------------------------
+
+
+def test_every_record_pickles_and_copies():
+    from supertrop import (
+        BilinearForm, QuadraticForm, check_map_axioms, classify_vector, det, dual_base,
+        gs_step, isotropic_strip, pair_class, parse_matrix, run_suite, sample,
+    )
+    from supertrop.scalars import Record
+
+    m = parse_matrix("1 2\n3 4")
+    form = BilinearForm(parse_matrix("1 0\n0 2"))
+    v, w = parse_vector("1 2"), parse_vector("0 -1")
+    d = dual_base(sample("closed-base", 2, 0, 0))
+    values = [ONE, v, m, det(m), form, classify_vector(form, v), pair_class(form, v, w),
+              gs_step(form, [], v), isotropic_strip(form, v, w), d.functionals[0], d,
+              check_map_axioms(m, 3), QuadraticForm.from_diagonal((ONE, T(2))),
+              run_suite("frobenius", 2, 0)]
+    subclasses = {type(x) for x in values}
+    assert subclasses == set(Record.__subclasses__()) and len(subclasses) == 14
+    for x in values:
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is type(x) and y == x
