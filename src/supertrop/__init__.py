@@ -21,9 +21,8 @@ _EXPORTS = {
     "bilinear": "BilinearForm GSResult PairClass StripResult VectorClass classify_vector "
                 "decompose evaluate gram_dependent gram_of gram_schmidt gs_step is_alternate "
                 "is_supertropically_symmetric isotropic_strip normalize pair_class radical_member",
-    "dual": "DualBase Functional apply check_map_axioms dual_base dual_eval_matrix dual_rank "
-            "ghost_kernel_contains ghost_monic_verdict is_ghost_monic is_tropically_onto lower "
-            "project_closed",
+    "dual": "DualBase Functional apply dual_base dual_eval_matrix dual_rank ghost_kernel_contains "
+            "is_ghost_monic is_tropically_onto lower project_closed",
     "quadratic": "QuadraticForm diagonal_from_form form_from_q hyperbolic_plane "
                  "is_hyperbolic_plane orthogonal_sum q_eval quasilinearity_check",
     "oracle": "TrialReport brute_force_det dependence_search run_suite sample",

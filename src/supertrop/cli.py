@@ -181,8 +181,8 @@ def _quad_eval(args):
 
 
 def _quad_check(args):
-    verdict = lib.quasilinearity_check(_quad_forms(args, 1)[0], args.trials, _seed(args))
-    return verdict, {"verdict": verdict, "trials": args.trials}
+    verdict = lib.quasilinearity_check(_quad_forms(args, 1)[0])
+    return verdict, {"verdict": verdict}
 
 
 def _quad_osum(args):
@@ -260,9 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sqe = quadcmd("eval", "evaluate Q(v)", _quad_eval)
     sqe.add_argument("--vec", required=True)
-    sqc = quadcmd("check", "quasilinearity classification", _quad_check)
-    sqc.add_argument("--trials", type=int, default=200)
-    sqc.add_argument("--seed", type=int, default=None)
+    quadcmd("check", "quasilinearity classification", _quad_check)
     quadcmd("fromq", "bilinear companion of a strictly quasilinear form",
             lambda args: _rows(lib.form_from_q(_quad_forms(args, 1)[0]).gram))
     sqh = cmd(qsub, "hyper", "hyperbolic plane gram matrix",

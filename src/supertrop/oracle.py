@@ -4,9 +4,11 @@ seeded sampler, and the property suites (the acceptance battery).
 ``brute_force_det`` (n <= 8) lists every optimal permutation, where ``det``
 reports sigma and one tie certificate.  The ``det-engines`` suite holds
 ``det`` to it: equal values, witnesses a subset of the oracle's, and one
-(two) witnesses iff the oracle has at least one (two).  The ``degen`` suite
-re-checks every strip and the ``decompose`` suite samples every alternate
-span, so library calls run no self-checks.
+(two) witnesses iff the oracle has at least one (two).  It also holds the
+same matrix's map v |-> M v to additivity and to tangible and ghost
+homogeneity.  The ``degen`` suite re-checks every strip and the
+``decompose`` suite samples every alternate span, so library calls run no
+self-checks, and ``random_scalar`` here is the library's only sampler.
 
 Each suite is one trial, ``(seed, i, n) -> (tag, expected, got)`` failures
 drawn only from samplers keyed on (seed, i), held in ``SUITES`` beside the
@@ -42,10 +44,12 @@ from .matrices import (
     is_quasi_identity,
     rank,
 )
-from .scalars import NU_HI, ONE, ZERO, Record, Scalar, Vector, check_trials, lin_comb, random_scalar
+from .scalars import ONE, ZERO, Record, Scalar, Vector, lin_comb
 
 BRUTE_FORCE_CAP = 8
 DEPENDENCE_CAP = 2 ** 16
+NU_LO = -10
+NU_HI = 10
 
 
 # -- independent determinant oracle ---------------------------------------
@@ -109,6 +113,28 @@ def dependence_search(
 
 
 # -- samplers --------------------------------------------------------------
+
+
+def random_scalar(
+    rng: random.Random, ghost_density: float, zero_density: float
+) -> Scalar:
+    """The one scalar sampler: zero with probability ``zero_density``, a
+    ghost with probability ``ghost_density``, else tangible; the nu-value
+    is an integer in [NU_LO, NU_HI].  The layer is drawn (one
+    ``rng.random()``) only when a density is positive, so (0, 0) gives
+    tangible scalars from one ``rng.randint`` each."""
+    r = rng.random() if ghost_density > 0 or zero_density > 0 else 1.0
+    if r < zero_density:
+        return ZERO
+    return Scalar(Fraction(rng.randint(NU_LO, NU_HI)), r < zero_density + ghost_density)
+
+
+def check_trials(trials: int) -> None:
+    """A suite runs a whole number of trials, at least one."""
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise DomainError(f"trial count must be an integer, got {trials!r}")
+    if trials < 1:
+        raise DomainError(f"trial count must be at least 1, got {trials}")
 
 
 def _rng(seed: int, index: int, salt: str = "") -> random.Random:
@@ -204,6 +230,20 @@ def _det_engines(seed: int, i: int, n: int) -> Iterator[Failure]:
         if (len(mine) >= k) != (len(all_optimal) >= k):
             yield f"{tag} witness count", str(len(all_optimal)), str(len(mine))
             break
+    # v |-> M v is a supertropical map: the semiring laws make additivity
+    # and ghost homogeneity equalities, not just ghost-surpassing.
+    rng = _rng(seed, i, "map-axioms")
+    v, w = (Vector(tuple(random_scalar(rng, 0.25, 0.15) for _ in range(n))) for _ in range(2))
+    alpha = Scalar.tangible(rng.randint(NU_LO, NU_HI))
+    g = Scalar.ghost_of(rng.randint(NU_LO, NU_HI))
+    mv = m.apply(v)
+    for name, got, want in (
+        (f"additivity at v={v}, w={w}", m.apply(v + w), mv + m.apply(w)),
+        (f"tangible homogeneity at v={v}, a={alpha}", m.apply(v.scale(alpha)), mv.scale(alpha)),
+        (f"ghost homogeneity at v={v}, a={g}", m.apply(v.scale(g)), mv.scale(g)),
+    ):
+        if got != want:
+            yield f"{tag} {name}", str(want), str(got)
 
 
 def _quasi_identity(seed: int, i: int, n: int) -> Iterator[Failure]:
@@ -255,8 +295,8 @@ def _double_dual(seed: int, i: int, n: int) -> Iterator[Failure]:
         yield tag, "double-dual grid pattern", str(grid)
     if rank(grid) != n:
         yield tag, f"double-dual rank {n}", str(rank(grid))
-    if du.ghost_monic_verdict(a) != du.PROVED:
-        yield tag, "ghost monic proved", du.ghost_monic_verdict(a)
+    if not du.is_ghost_monic(a):
+        yield tag, "ghost monic", "violated"
 
 
 def _cs_base_gram(rng: random.Random, n: int) -> Matrix:

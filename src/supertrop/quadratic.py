@@ -2,21 +2,21 @@
 
 Two representations: form-backed (Q(v) = <v,v> for a stored bilinear form)
 and diagonal (a sequence of self-pairing values q_i, strictly quasilinear
-by construction: Q(sum a_i e_i) = sum a_i^2 q_i).  The square-root
+by construction: Q(sum a_i e_i) = sum a_i^2 q_i).  Quasilinearity is read
+off the Gram matrix exactly, with no sampling.  The square-root
 construction turns a strictly quasilinear form back into a strict symmetric
 bilinear form.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bilinear import BilinearForm, evaluate, is_supertropically_symmetric
 from .errors import DomainError, PreconditionError, ShapeError
 from .matrices import Matrix, independent
-from .scalars import ZERO, Record, Scalar, Vector, _pairings, check_trials, random_scalar
+from .scalars import ZERO, Record, Scalar, Vector, _pairings
 
 STRICT = "strict"
 QUASILINEAR = "quasilinear"
@@ -37,6 +37,8 @@ class QuadraticForm(Record):
             diagonal = tuple(diagonal)
             if not diagonal:
                 raise ShapeError("diagonal forms must have positive dimension")
+            if not all(isinstance(x, Scalar) for x in diagonal):
+                raise DomainError("diagonal entries must be Scalars")
         super().__init__(form, diagonal)
 
     @property
@@ -64,28 +66,28 @@ def q_eval(q: QuadraticForm, v: Vector) -> Scalar:
     return evaluate(q.form, v, v)
 
 
-def quasilinearity_check(
-    q: QuadraticForm, trials: int = 200, seed: int = 0
-) -> str:
-    """Diagonal forms are strict analytically; form-backed ones are sampled
-    for Q(v+w) = Q(v)+Q(w) (strict), the ghost-surpassing weakening
-    (quasilinear), or a violation (neither).  ``trials`` must be at least 1."""
-    check_trials(trials)
+def quasilinearity_check(q: QuadraticForm) -> str:
+    """Exact, from the Gram matrix G: Q(v+w) = Q(v) + Q(w) + sum h_ij v_i w_j
+    with h_ij = g_ij + g_ji.  A term with i = j, or with 2 nu(h_ij) <=
+    nu(g_ii) + nu(g_jj), is nu-below max(Q(v), Q(w)) or level with a tie of
+    the two, whose sum is a ghost already, so it changes nothing.  Any other
+    nonzero h_ij (a ``-inf`` diagonal counts as below every value) dominates
+    at v = a e_i, w = b e_j for suitable tangible a, b: a tangible one
+    breaks ghost-surpassing (neither), a ghost one only equality
+    (quasilinear).  Diagonal forms are strict."""
     if q.diagonal is not None:
         return STRICT
+    g = q.form.gram.entries
+    diag = [g[i][i].value for i in range(q.dim)]
     verdict = STRICT
-    for i in range(trials):
-        rng = random.Random(f"quasilinear:{seed}:{i}")
-        v, w = (Vector(tuple(random_scalar(rng, 0.2, 0.15) for _ in range(q.dim)))
-                for _ in range(2))
-        lhs = q_eval(q, v + w)
-        rhs = q_eval(q, v) + q_eval(q, w)
-        if lhs == rhs:
-            continue
-        if lhs.ghost_surpasses(rhs):
+    for i in range(q.dim):
+        for j in range(i + 1, q.dim):
+            h = g[i][j] + g[j][i]
+            if h.is_zero or None not in (diag[i], diag[j]) and 2 * h.value <= diag[i] + diag[j]:
+                continue
+            if h.is_tangible:
+                return NEITHER
             verdict = QUASILINEAR
-        else:
-            return NEITHER
     return verdict
 
 

@@ -13,16 +13,13 @@ optionally signed integer or ``p/q`` with ``q > 0``.
 ``dot`` is the sum of products behind matrix products and functionals.
 ``_pairings`` folds a grid of such sums on ints, scaling once per call:
 the bilinear pairing, the orthogonalization sweep, the diagonal quadratic
-form and linear combinations go through it.  ``random_scalar`` is the one
-scalar sampler: the suites' ``sample`` and the sampled checks in ``dual``
-and ``quadratic`` all draw through it, and all reject a trial count below
-1 through ``check_trials``.
+form and linear combinations go through it.  Nothing here samples: the
+scalar sampler lives in ``oracle``.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import re
 from fractions import Fraction
 from itertools import repeat
@@ -30,9 +27,6 @@ from operator import add
 from typing import List, Optional, Sequence
 
 from .errors import DomainError, ParseError, ShapeError
-
-NU_LO = -10
-NU_HI = 10
 
 
 class Record:
@@ -319,28 +313,6 @@ def parse_scalar(text: str) -> Scalar:
         return Scalar(Fraction(m.group(1)), m.group(2) == "g")
     except ZeroDivisionError as exc:
         raise ParseError(f"zero denominator in scalar token: {text!r}") from exc
-
-
-def random_scalar(
-    rng: random.Random, ghost_density: float, zero_density: float
-) -> Scalar:
-    """Zero with probability ``zero_density``, a ghost with probability
-    ``ghost_density``, else tangible; the nu-value is an integer in
-    [NU_LO, NU_HI].  The layer is drawn (one ``rng.random()``) only when a
-    density is positive, so (0, 0) gives tangible scalars from one
-    ``rng.randint`` each."""
-    r = rng.random() if ghost_density > 0 or zero_density > 0 else 1.0
-    if r < zero_density:
-        return ZERO
-    return Scalar(Fraction(rng.randint(NU_LO, NU_HI)), r < zero_density + ghost_density)
-
-
-def check_trials(trials: int) -> None:
-    """Every sampled check runs a whole number of trials, at least one."""
-    if isinstance(trials, bool) or not isinstance(trials, int):
-        raise DomainError(f"trial count must be an integer, got {trials!r}")
-    if trials < 1:
-        raise DomainError(f"trial count must be at least 1, got {trials}")
 
 
 # -- vectors ---------------------------------------------------------------

@@ -34,8 +34,8 @@ from supertrop import (
 from supertrop import bilinear
 from supertrop.bilinear import GSResult, PairClass, StripResult, _corner_singular
 from supertrop.matrices import independent
-from supertrop.oracle import sample
-from supertrop.scalars import Vector, lin_comb, random_scalar
+from supertrop.oracle import random_scalar, sample
+from supertrop.scalars import Vector, lin_comb
 
 T = Scalar.tangible
 G = Scalar.ghost_of

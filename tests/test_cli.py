@@ -165,6 +165,14 @@ def test_quad_check_and_fromq(capsys):
     assert parse_matrix(out) == parse_matrix("0 1\n1 2")
 
 
+def test_quad_check_takes_no_trials_or_seed(capsys):
+    for flag in ("--trials", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["quad", "check", "--diag", "0 2g", flag, "5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
 def test_quad_osum(capsys):
     code, out, _ = run(capsys, "quad", "osum", "--diag", "0", "--diag", "2")
     assert code == 0 and out.strip() == "0 2"
@@ -197,15 +205,11 @@ def test_check_counterexample_exit_3(capsys, monkeypatch):
                               "trials": 2, "verdict": "counterexample"}, indent=2, sort_keys=True) + "\n"
 
 
-def test_trials_below_one_exit_1(capsys, tmp_path):
-    form = tmp_path / "form.mat"
-    form.write_text("0 -inf\n-inf 0\n")
-    for argv in (["check", "frobenius", "--trials", "-3"],
-                 ["quad", "check", "--form", str(form), "--trials", "0"]):
-        code, out, err = run(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert "at least 1" in err
+def test_trials_below_one_exit_1(capsys):
+    code, out, err = run(capsys, "check", "frobenius", "--trials", "-3")
+    assert code == 1
+    assert out == ""
+    assert "at least 1" in err
 
 
 def test_gs_vector_dimension_exit_1(capsys, tmp_path):
@@ -227,13 +231,12 @@ def test_seed_env_var(capsys, monkeypatch):
 
 def test_seed_env_var_not_an_integer_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("SUPERTROP_SEED", "abc")
-    for argv in (["check", "frobenius", "--trials", "1"], ["quad", "check", "--diag", "0 2g"]):
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err == "error: SUPERTROP_SEED must be an integer, got 'abc'\n"
+    assert run(capsys, "check", "frobenius", "--trials", "1") == (
+        2, "", "error: SUPERTROP_SEED must be an integer, got 'abc'\n")
     code, _, _ = run(capsys, "check", "frobenius", "--trials", "1", "--seed", "4")
     assert code == 0
+    # quad check is exact and reads no seed.
+    assert run(capsys, "quad", "check", "--diag", "0 2g") == (0, "strict\n", "")
 
 
 def test_parse_error_exit_2(capsys):
@@ -265,6 +268,8 @@ GOLDEN_FILES = {
     "vecs": "0 0\n1 -inf\n",
     "base": "0 -inf\n",
     "block": "0 -inf -inf\n-inf -inf 0\n-inf 0 -inf\n",
+    "skew": "7 3\n5 2\n",
+    "ghosts": "7g 3g\n5g 2g\n",
 }
 
 # (id, argv, exit code, text stdout, JSON stdout, stderr)
@@ -316,8 +321,12 @@ GOLDEN = [
       "schema": "supertrop/2"}, ""),
     ("quad-eval", ["quad", "eval", "--diag", "0 2", "--vec", "1 1"], 0, "4\n",
      {"schema": "supertrop/2", "value": "4"}, ""),
-    ("quad-check", ["quad", "check", "--diag", "0 2g", "--trials", "5", "--seed", "1"], 0, "strict\n",
-     {"schema": "supertrop/2", "trials": 5, "verdict": "strict"}, ""),
+    ("quad-check", ["quad", "check", "--diag", "0 2g"], 0, "strict\n",
+     {"schema": "supertrop/2", "verdict": "strict"}, ""),
+    ("quad-check-form", ["quad", "check", "--form", "{skew}"], 0, "neither\n",
+     {"schema": "supertrop/2", "verdict": "neither"}, ""),
+    ("quad-check-ghost-form", ["quad", "check", "--form", "{ghosts}"], 0, "quasilinear\n",
+     {"schema": "supertrop/2", "verdict": "quasilinear"}, ""),
     ("quad-fromq", ["quad", "fromq", "--diag", "0 2"], 0, "0 1\n1 2\n",
      {"rows": [["0", "1"], ["1", "2"]], "schema": "supertrop/2"}, ""),
     ("quad-hyper", ["quad", "hyper", "5"], 0, "-inf 5\n5 -inf\n",

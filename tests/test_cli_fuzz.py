@@ -103,8 +103,6 @@ def argvs(draw):
                     argv.append(f"--form={matrix_file()}")
             if sub == "eval":
                 argv.append(vec())
-            if sub == "check":
-                argv += trials()
     return argv, files
 
 

@@ -60,7 +60,7 @@ def test_a_command_imports_only_what_it_runs(tmp_path, form_file, argv, unloaded
 
 
 def test_every_public_name_is_its_modules_object():
-    assert len(supertrop.__all__) == len(set(supertrop.__all__)) == 76
+    assert len(supertrop.__all__) == len(set(supertrop.__all__)) == 74
     namespace = {}
     exec(f"from supertrop import {', '.join(supertrop.__all__)}", namespace)
     for name in supertrop.__all__:

@@ -15,22 +15,18 @@ from supertrop import (
     GSResult,
     Matrix,
     ONE,
-    QuadraticForm,
     Scalar,
     StripResult,
     ZERO,
     bilinear,
     brute_force_det,
-    check_map_axioms,
     det,
     dual,
-    ghost_monic_verdict,
     independent,
     isotropic_strip,
     oracle,
     parse_matrix,
     quadratic,
-    quasilinearity_check,
     run_suite,
     sample,
     vector,
@@ -253,11 +249,7 @@ def test_run_suite_needs_a_trial():
     lambda: run_suite("frobenius", 2.5, 0),
     lambda: run_suite("frobenius", "3", 0),
     lambda: run_suite("frobenius", True, 0),
-    lambda: check_map_axioms(parse_matrix("1 2\n3 4"), 2.5),
-    lambda: ghost_monic_verdict(parse_matrix("1 2\n3 4"), 2.5),
-    lambda: quasilinearity_check(QuadraticForm.from_diagonal((ONE, T(2))), 2.5),
-], ids=["run_suite-float", "run_suite-str", "run_suite-bool", "check_map_axioms",
-        "ghost_monic_verdict", "quasilinearity_check"])
+], ids=["run_suite-float", "run_suite-str", "run_suite-bool"])
 def test_trial_count_must_be_an_integer(call):
     with pytest.raises(DomainError, match="must be an integer"):
         call()
@@ -300,6 +292,22 @@ def test_planted_fault_report_is_pinned(name, monkeypatch):
     report = run_suite(name, 12, 7)
     assert len(report.failures) == count
     assert hashlib.sha256(report.to_json().encode()).hexdigest()[:16] == digest
+
+
+def test_det_engines_holds_matrix_maps_to_the_map_axioms(monkeypatch):
+    # A non-linear M v: the true product scaled by v_0 when v_0 is not zero.
+    true_apply = Matrix.apply
+
+    def scaled(self, v):
+        mv = true_apply(self, v)
+        return mv if v[0].is_zero else mv.scale(v[0])
+
+    monkeypatch.setattr(Matrix, "apply", scaled)
+    tags = [tag for tag, _, _ in run_suite("det-engines", 12, 7).failures]
+    assert any(" additivity at " in t for t in tags)
+    assert any(" tangible homogeneity at " in t for t in tags)
+    assert any(" ghost homogeneity at " in t for t in tags)
+    assert all(" at v=" in t for t in tags)
 
 
 def test_a_trial_runs_alone(monkeypatch):
