@@ -1,13 +1,12 @@
 """Strict bilinear forms given by Gram matrices.
 
-Every pairing here is folded by the integer kernel ``scalars._pairings``,
-which scales once per call; nothing calls ``Matrix.apply`` or ``dot``.
-Evaluation is B(v, w) = v . (G w), one call for G w and one for the
-pairing; the semiring is distributive, so the value is that of the strict
-expansion sum v_i g_ij w_j.  ``evaluate`` is the one single-pairing call;
-the pair classification, the Gram-determinant dependence test,
-``gs_step`` and the rank-2 g-isotropic strip read every pairing among
-their vectors from one ``gram_of`` grid, two calls for k vectors.
+Every pairing is folded on ints by a ``scalars`` kernel with one scaling
+per call; nothing calls ``Matrix.apply`` or ``dot``.  B(v, w) = v . (G w),
+by distributivity the strict expansion sum v_i g_ij w_j: ``evaluate``,
+``gram_of`` and ``pair_class`` each read their grid from one
+``_pair_grid`` call, and ``pair_class`` classifies on its codes'
+nu-values.  The dependence test, ``gs_step`` and the rank-2 g-isotropic
+strip read every pairing among their vectors from one ``gram_of`` grid.
 
 ``gram_schmidt`` and ``decompose`` share one orthogonalization sweep,
 whose state keeps (b, G b, <b,b>) for each accepted b, so G is applied
@@ -29,7 +28,8 @@ from typing import List, Sequence, Tuple
 
 from .errors import DomainError, PreconditionError, ShapeError
 from .matrices import Matrix, det, independent
-from .scalars import ONE, ZERO, Record, Scalar, Vector, _pairings, lin_comb
+from .scalars import (ONE, ZERO, Record, Scalar, Vector, _NEG, _nu, _pair_grid, _pairings, _scalars,
+                      lin_comb)
 
 
 class BilinearForm(Record):
@@ -39,6 +39,8 @@ class BilinearForm(Record):
     __slots__ = ("gram",)
 
     def __init__(self, gram: Matrix) -> None:
+        if not isinstance(gram, Matrix):
+            raise DomainError("a bilinear form takes a Gram Matrix")
         if not gram.is_square:
             raise ShapeError("Gram matrix must be square")
         super().__init__(gram)
@@ -54,13 +56,14 @@ class BilinearForm(Record):
 def evaluate(form: BilinearForm, v: Vector, w: Vector) -> Scalar:
     """B(v, w) = v . (G w); by distributivity this is the strict expansion
     sum_{i,j} v_i g_ij w_j."""
-    n = form.dim
-    if v.dim != n or w.dim != n:
-        raise ShapeError("vector dimension does not match the form")
-    return _pairings([v], _pairings([w], form.gram.entries))[0][0]
+    _require_dims(form, (v, w))
+    scale, grid = _pair_grid(form.gram.entries, [v], [w])
+    return _scalars(grid, scale)[0][0]
 
 
 def _require_dims(form: BilinearForm, vs: Sequence[Vector]) -> None:
+    if not all(isinstance(v, Vector) for v in vs):
+        raise DomainError("a form pairs Vectors only")
     if any(v.dim != form.dim for v in vs):
         raise ShapeError("vector dimension does not match the form")
 
@@ -70,7 +73,8 @@ def gram_of(form: BilinearForm, vs: Sequence[Vector]) -> Matrix:
     if not vs:
         raise ShapeError("Gram grid of an empty vector list")
     _require_dims(form, vs)
-    return Matrix(_pairings(vs, _pairings(vs, form.gram.entries)))
+    scale, grid = _pair_grid(form.gram.entries, vs, vs)
+    return Matrix(_scalars(grid, scale))
 
 
 class VectorClass(Record):
@@ -121,57 +125,29 @@ class PairClass(Record):
                  "weakly_cauchy_schwartz", "cauchy_schwartz", "corner_singular")
 
     def as_dict(self) -> dict:
-        return {
-            "left-g-orthogonal": self.left_g_orthogonal,
-            "right-g-orthogonal": self.right_g_orthogonal,
-            "compatible": self.compatible,
-            "strictly-compatible": self.strictly_compatible,
-            "weakly-cauchy-schwartz": self.weakly_cauchy_schwartz,
-            "cauchy-schwartz": self.cauchy_schwartz,
-            "corner-singular": self.corner_singular,
-        }
-
-
-def _corner_singular(a11: Scalar, a12: Scalar, a21: Scalar, a22: Scalar) -> bool:
-    # Pattern [[x, x*b], [x*b, x*b^2]] up to nu-value, b tangible; x = a11
-    # is forced, so the test is a finite computation.
-    if not a12.nu_match(a21):
-        return False
-    if a11.is_zero:
-        return a12.is_zero and a21.is_zero and a22.is_zero
-    if a12.is_zero or a22.is_zero:
-        return False
-    return a11.value + a22.value == 2 * a12.value
+        return {name.replace("_", "-"): getattr(self, name) for name in self.__slots__}
 
 
 def pair_class(form: BilinearForm, v: Vector, w: Vector) -> PairClass:
-    g = gram_of(form, [v, w])
-    return _pair(g[0, 0], g[0, 1], g[1, 0], g[1, 1])
+    _require_dims(form, (v, w))
+    _, ((b11, b12), (b21, b22)) = _pair_grid(form.gram.entries, [v, w], [v, w])
+    return _pair(*(_NEG if b is None else b >> 2 for b in (b11, b12, b21, b22)),
+                 b12 is None or b12 & 1 == 1, b21 is None or b21 & 1 == 1)
 
 
-def _pair(a11: Scalar, a12: Scalar, a21: Scalar, a22: Scalar) -> PairClass:
-    """The classification of a pair (v, w) from <v,v>, <v,w>, <w,v>, <w,w>."""
-    diag = a11 + a22
-    cross = a12 + a21
-    compatible = diag.nu_cmp(cross) >= 0
-    strictly_compatible = compatible and (
-        a11.nu_match(a22) or diag.nu_cmp(cross) > 0
-    )
-
-    prod = a11 * a22
-    sq = a12 * a12 + a21 * a21
-    weakly_cs = prod.nu_cmp(sq) >= 0
-    cs = prod.nu_cmp(sq) > 0
-
-    return PairClass(
-        left_g_orthogonal=a12.in_ghost_ideal,
-        right_g_orthogonal=a21.in_ghost_ideal,
-        compatible=compatible,
-        strictly_compatible=strictly_compatible,
-        weakly_cauchy_schwartz=weakly_cs,
-        cauchy_schwartz=cs,
-        corner_singular=_corner_singular(a11, a12, a21, a22),
-    )
+def _pair(a11, a12, a21, a22, left: bool, right: bool) -> PairClass:
+    """The classification of a pair (v, w) from the nu-values of <v,v>,
+    <v,w>, <w,v>, <w,w> on one scale, ``-inf`` for zero, so that a sum's
+    nu-value is the max; left and right tell whether <v,w> and <w,v> lie in
+    the ghost ideal.  Corner-singular is the pattern [[x, x*b], [x*b,
+    x*b^2]] up to nu-value, b tangible: x = <v,v> is forced."""
+    diag, cross = max(a11, a22), max(a12, a21)
+    # A product through zero is zero: adding -inf to a huge int would overflow.
+    prod = _NEG if _NEG in (a11, a22) else a11 + a22
+    corner = a12 == a21 and (a11 == a12 == a22 if _NEG in (a11, a12, a22) else a11 + a22 == 2 * a12)
+    # The fields in order, by position: Record's keyword path is slower.
+    return PairClass(left, right, diag >= cross, diag > cross or diag == cross and a11 == a22,
+                     prod >= 2 * cross, prod > 2 * cross, corner)
 
 
 # -- radical and Gram dependence ------------------------------------------
@@ -214,8 +190,7 @@ def gs_step(form: BilinearForm, base: Sequence[Vector], v: Vector) -> GSResult:
     _require_dims(form, [v])
     _require_symmetric(form)
     if not base:
-        projected = Vector(tuple(ZERO for _ in range(v.dim)))
-        return GSResult(projected, v, frozenset())
+        return GSResult(Vector((ZERO,) * v.dim), v, frozenset())
     g = gram_of(form, [*base, v])
     k = len(base)
     if any(i != j and not g[i, j].in_ghost_ideal for i in range(k) for j in range(k)):
@@ -264,7 +239,8 @@ def _sweep(form: BilinearForm, state: list, vs: Sequence[Vector]) -> List[Tuple[
         gc = pairs[:n]
         cc, *bc = [p for p, in _pairings([c, *(b for b, _, _ in state)], [gc])]
         if cc.is_tangible and all(
-            _pair(cc, c_b, b_c, beta).cauchy_schwartz
+            _pair(cc.value, _nu(c_b), _nu(b_c), beta.value, c_b.in_ghost_ideal,
+                  b_c.in_ghost_ideal).cauchy_schwartz
             for c_b, b_c, (_, _, beta) in zip(pairs[n:], bc, state)
         ):
             state.append((c, gc, cc))

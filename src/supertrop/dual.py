@@ -98,6 +98,8 @@ def is_tropically_onto(m: Matrix) -> bool:
 def is_ghost_monic(m: Matrix) -> bool:
     """No tangible vector (zeros allowed) maps into the ghost subspace: the
     columns are tropically independent, i.e. |M| is tangible."""
+    if not isinstance(m, Matrix):
+        raise DomainError("ghost-monic test takes a Matrix")
     if not m.is_square:
         raise ShapeError("ghost-monic test needs a square matrix")
     return is_nonsingular(m)

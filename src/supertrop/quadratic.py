@@ -10,7 +10,6 @@ bilinear form.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bilinear import BilinearForm, evaluate, is_supertropically_symmetric
@@ -33,6 +32,8 @@ class QuadraticForm(Record):
                  diagonal: Optional[Sequence[Scalar]] = None) -> None:
         if (form is None) == (diagonal is None):
             raise DomainError("exactly one representation must be given")
+        if form is not None and not isinstance(form, BilinearForm):
+            raise DomainError("a form-backed quadratic form takes a BilinearForm")
         if diagonal is not None:
             diagonal = tuple(diagonal)
             if not diagonal:
@@ -93,11 +94,12 @@ def quasilinearity_check(q: QuadraticForm) -> str:
 
 def form_from_q(q: QuadraticForm) -> BilinearForm:
     """The canonical bilinear companion of a strictly quasilinear form:
-    g_ij = sqrt(Q(e_i) Q(e_j)), built once from the base values."""
+    g_ij = sqrt(Q(e_i) Q(e_j)), of nu-value (nu_i + nu_j)/2, built once
+    from the base values."""
     qs = diagonal_from_form(q).diagonal
-    half = Fraction(1, 2)
     return BilinearForm(Matrix(tuple(
-        tuple(ZERO if qi.is_zero or qj.is_zero else (qi * qj).power(half) for qj in qs) for qi in qs
+        tuple(ZERO if qi.value is None or qj.value is None else
+              Scalar((qi.value + qj.value) / 2, qi.ghost or qj.ghost) for qj in qs) for qi in qs
     )))
 
 

@@ -11,10 +11,11 @@ optionally signed integer or ``p/q`` with ``q > 0``.
 ``parse_scalar(str(x)) == x`` always.
 
 ``dot`` is the sum of products behind matrix products and functionals.
-``_pairings`` folds a grid of such sums on ints, scaling once per call:
-the bilinear pairing, the orthogonalization sweep, the diagonal quadratic
-form and linear combinations go through it.  Nothing here samples: the
-scalar sampler lives in ``oracle``.
+The form layer folds such sums on int codes of one scaling per call:
+``_pairings`` gives a grid of them (the orthogonalization sweep, the
+diagonal quadratic form, ``lin_comb``) and ``_pair_grid`` the grid
+x . (G y) as codes (``evaluate``, ``gram_of``, ``pair_class``).  Nothing
+here samples: the scalar sampler lives in ``oracle``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 from fractions import Fraction
 from itertools import repeat
 from operator import add
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ParseError, ShapeError
 
@@ -182,17 +183,8 @@ class Scalar(Record):
 
     def nu_cmp(self, other: "Scalar") -> int:
         """Compare nu-values, zero at the bottom: -1 (Lt), 0 (Match), 1 (Gt)."""
-        if self.value is None and other.value is None:
-            return 0
-        if self.value is None:
-            return -1
-        if other.value is None:
-            return 1
-        if self.value < other.value:
-            return -1
-        if self.value > other.value:
-            return 1
-        return 0
+        a, b = _nu(self), _nu(other)
+        return (a > b) - (a < b)
 
     def nu_match(self, other: "Scalar") -> bool:
         return self.nu_cmp(other) == 0
@@ -205,13 +197,7 @@ class Scalar(Record):
 
     def ghost_surpasses(self, other: "Scalar") -> bool:
         """self |= other: self = other + c for some c in the ghost ideal."""
-        if self == other:
-            return True
-        if not self.is_ghost:
-            return False
-        if other.value is None:
-            return True
-        return self.value >= other.value
+        return self == other or self.ghost and self.value >= _nu(other)
 
     # -- text --------------------------------------------------------------
 
@@ -239,6 +225,14 @@ def _rational(q) -> Fraction:
     raise DomainError(f"{type(q).__name__} scalar value {q!r}; give an int, Fraction or rational string")
 
 
+_NEG = float("-inf")
+
+
+def _nu(x: Scalar):
+    """The nu-value of x: its rational, or ``-inf`` for zero."""
+    return _NEG if x.value is None else x.value
+
+
 def dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
     """The sum of products sum_i xs[i] * ys[i] in one pass over the
     products' nu-values: the maximum, ghost iff it is attained twice or by a
@@ -258,40 +252,66 @@ def dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
     return ZERO if best is None else Scalar(best, ghost)
 
 
-def _pairings(rows: Sequence[Sequence[Scalar]], cols: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
-    """[[dot(x, y) for y in cols] for x in rows], folded on ints.  The
-    nu-values are scaled once by the LCM of their denominators, an
-    automorphism of (Q, max, +), and a scalar of scaled value k is coded
-    4k + ghost.  A sum of two codes is 4 * (the scaled product) + (its
-    ghost factors, 0-2), so the largest sum is a product of largest
-    nu-value, a ghost if its low bits are not 0 or the sum is attained
-    twice.  ``-inf`` is coded so low that every product through it lies
-    below 2 * (the least code)."""
-    seqs = (*rows, *cols)
-    if any(len(s) != len(seqs[0]) for s in seqs):
-        raise ShapeError("dot product length mismatch")
+def _codes(seqs: Sequence[Sequence[Scalar]]) -> Tuple[int, List[List[Optional[int]]]]:
+    """(L, codes): nu-values scaled by the LCM L of their denominators, an
+    automorphism of (Q, max, +), a scaled value k coded 4k + ghost and
+    ``-inf`` as None."""
     scale = math.lcm(*{q.denominator for s in seqs for x in s if (q := x.value) is not None})
     one = scale == 1
-    codes = [[None if (q := x.value) is None else
-              4 * (q.numerator if one else q.numerator * (scale // q.denominator)) + x.ghost
-              for x in s] for s in seqs]
+    return scale, [[None if (q := x.value) is None else
+                    4 * (q.numerator if one else q.numerator * (scale // q.denominator)) + x.ghost
+                    for x in s] for s in seqs]
+
+
+def _fold(codes: List[List[Optional[int]]], nrows: int) -> List[List[Optional[int]]]:
+    """[[x . y for y in codes[nrows:]] for x in codes[:nrows]] on codes of
+    one scale, coded alike.  A sum of two codes is 4 * (the scaled product)
+    + (its ghost factors, 0-2), so the largest sum is a ghost iff its low
+    bits are not 0 or it is attained twice.  None becomes a code so low that
+    every product through it lies below 2 * (the least code)."""
     real = [c for s in codes for c in s if c is not None]
-    if not real:
-        return [[ZERO] * len(cols) for _ in rows]
+    if not real:  # all -inf, or empty vectors
+        return [[None] * (len(codes) - nrows) for _ in codes[:nrows]]
     floor = 2 * min(real)
     low = floor - max(real) - 1
     codes = [[low if c is None else c for c in s] for s in codes]
 
-    def pair(x: List[int], y: List[int]) -> Scalar:
+    def pair(x: List[int], y: List[int]) -> Optional[int]:
         ps = list(map(add, x, y))
         best = max(ps)
         if best < floor:
-            return ZERO
-        return Scalar(Fraction(best >> 2) if one else Fraction(best >> 2, scale),
-                      bool(best & 3) or ps.count(best) > 1)
+            return None
+        if best & 3 or ps.count(best) > 1:
+            return best & -4 | 1
+        return best
 
-    ys = codes[len(rows):]
-    return [[pair(x, y) for y in ys] for x in codes[:len(rows)]]
+    cols = codes[nrows:]
+    return [[pair(x, y) for y in cols] for x in codes[:nrows]]
+
+
+def _scalars(grid: List[List[Optional[int]]], scale: int) -> List[List[Scalar]]:
+    """The scalars of a grid of codes at scale L."""
+    one = scale == 1
+    return [[ZERO if c is None else Scalar(Fraction(c >> 2) if one else Fraction(c >> 2, scale), bool(c & 1))
+             for c in row] for row in grid]
+
+
+def _pairings(rows: Sequence[Sequence[Scalar]], cols: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
+    """[[dot(x, y) for y in cols] for x in rows], folded on ints."""
+    seqs = (*rows, *cols)
+    if len(set(map(len, seqs))) > 1:
+        raise ShapeError("dot product length mismatch")
+    scale, codes = _codes(seqs)
+    return _scalars(_fold(codes, len(rows)), scale)
+
+
+def _pair_grid(gram: Sequence[Sequence[Scalar]], rows: Sequence[Sequence[Scalar]],
+               cols: Sequence[Sequence[Scalar]]) -> Tuple[int, List[List[Optional[int]]]]:
+    """(L, [[x . (G y) for y in cols] for x in rows] as codes), G and the
+    vectors on one scaling; the caller checks that every length is G's."""
+    r = len(rows)
+    scale, codes = _codes((*rows, *cols, *gram))
+    return scale, _fold([*codes[:r], *_fold(codes[r:], len(cols))], r)
 
 
 ZERO = Scalar(None, False)

@@ -32,10 +32,10 @@ from supertrop import (
     vector,
 )
 from supertrop import bilinear
-from supertrop.bilinear import GSResult, PairClass, StripResult, _corner_singular
+from supertrop.bilinear import GSResult, PairClass, StripResult
 from supertrop.matrices import independent
 from supertrop.oracle import random_scalar, sample
-from supertrop.scalars import Vector, lin_comb
+from supertrop.scalars import Vector, dot, lin_comb
 
 T = Scalar.tangible
 G = Scalar.ghost_of
@@ -46,6 +46,19 @@ E1, E2 = Matrix.identity(2).columns()
 
 
 # -- evaluation ------------------------------------------------------------
+
+
+def test_bilinear_form_needs_a_gram_matrix():
+    with pytest.raises(DomainError, match="takes a Gram Matrix"):
+        BilinearForm("x")
+
+
+def test_pairings_reject_a_tuple_for_a_vector():
+    t = (ONE, ZERO)
+    for call in (lambda: evaluate(IDENTITY, t, E2), lambda: evaluate(IDENTITY, E1, t),
+                 lambda: gram_of(IDENTITY, [E1, t]), lambda: pair_class(IDENTITY, t, E2)):
+        with pytest.raises(DomainError, match="pairs Vectors only"):
+            call()
 
 
 def test_evaluate_orthogonal():
@@ -351,11 +364,21 @@ def test_decompose_postconditions_sampled():
 # the library did before it read them from one ``gram_of`` grid.
 
 
-def ref_pair_class(form, v, w):
-    a11 = evaluate(form, v, v)
-    a12 = evaluate(form, v, w)
-    a21 = evaluate(form, w, v)
-    a22 = evaluate(form, w, w)
+def ref_corner_singular(a11, a12, a21, a22):
+    """[[x, x*b], [x*b, x*b^2]] up to nu-value, b tangible: x = a11 and
+    b = a12 / a11 are forced."""
+    if a11.is_zero or a12.is_zero:
+        return all(a.is_zero for a in (a11, a12, a21, a22))
+    xb = a11 * (a12 * a11.inv()).tangible_lift()
+    return a12.nu_match(xb) and a21.nu_match(xb) and a22.nu_match(xb * xb * a11.inv())
+
+
+def ref_pair_class(form, v, w, pairing=evaluate):
+    return ref_pair_flags(pairing(form, v, v), pairing(form, v, w),
+                          pairing(form, w, v), pairing(form, w, w))
+
+
+def ref_pair_flags(a11, a12, a21, a22):
     diag, cross = a11 + a22, a12 + a21
     compatible = diag.nu_cmp(cross) >= 0
     prod, sq = a11 * a22, a12 * a12 + a21 * a21
@@ -366,8 +389,41 @@ def ref_pair_class(form, v, w):
         strictly_compatible=compatible and (a11.nu_match(a22) or diag.nu_cmp(cross) > 0),
         weakly_cauchy_schwartz=prod.nu_cmp(sq) >= 0,
         cauchy_schwartz=prod.nu_cmp(sq) > 0,
-        corner_singular=_corner_singular(a11, a12, a21, a22),
+        corner_singular=ref_corner_singular(a11, a12, a21, a22),
     )
+
+
+def dot_pairing(form, v, w):
+    """<v, w> = v . (G w) on the Scalar-level ``dot``."""
+    return dot(v.entries, [dot(row, w.entries) for row in form.gram.entries])
+
+
+def draw_scalar(rng):
+    """-inf, a ghost or a tangible, of denominator 1, 2, 3 or 6."""
+    r = rng.random()
+    if r < 0.2:
+        return ZERO
+    return Scalar(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 6))), r < 0.45)
+
+
+def test_pair_grid_matches_dot_references_sampled():
+    rng = random.Random("pair-grid-vs-dot")
+    flags = {}
+    for i in range(1200):
+        n = 1 + i % 6
+        form = BilinearForm(Matrix.from_rows([draw_scalar(rng) for _ in range(n)] for _ in range(n)))
+        vs = [Vector(tuple(draw_scalar(rng) for _ in range(n))) for _ in range(3)]
+        if i % 7 == 0:
+            vs[i % 3] = Vector((ZERO,) * n)
+        v, w = vs[:2]
+        assert evaluate(form, v, w) == dot_pairing(form, v, w), (form.gram, v, w)
+        assert gram_of(form, vs) == Matrix.from_rows(
+            [dot_pairing(form, x, y) for y in vs] for x in vs), (form.gram, vs)
+        got = pair_class(form, v, w)
+        assert got == ref_pair_class(form, v, w, dot_pairing), (form.gram, v, w)
+        for name, flag in got.as_dict().items():
+            flags.setdefault(name, set()).add(flag)
+    assert all(seen == {True, False} for seen in flags.values()), flags
 
 
 def ref_isotropic_strip(form, v1, v2):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from supertrop import (
+    DomainError,
     Functional,
     Matrix,
     ONE,
@@ -157,6 +158,11 @@ def test_ghost_monic():
 def test_ghost_monic_needs_a_square_matrix():
     with pytest.raises(ShapeError, match="square"):
         is_ghost_monic(parse_matrix("0 1 2\n3 4 5"))
+
+
+def test_ghost_monic_rejects_a_non_matrix():
+    with pytest.raises(DomainError, match="takes a Matrix"):
+        is_ghost_monic("x")
 
 
 @pytest.mark.parametrize("n, draws", [(2, 60), (3, 8)])

@@ -50,6 +50,11 @@ def test_non_scalar_diagonal_raises_domain_error():
             QuadraticForm.from_diagonal(diagonal)
 
 
+def test_form_backed_needs_a_bilinear_form():
+    with pytest.raises(DomainError, match="takes a BilinearForm"):
+        QuadraticForm.from_form(parse_matrix("0 1\n1 0"))
+
+
 # -- evaluation ------------------------------------------------------------
 
 
